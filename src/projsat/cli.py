@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from operator import getitem
+from typing import Iterable, Optional, Sequence
 
 from .cnf import CnfFormula, DimacsParseError, parse_dimacs
 from .engine import EnumerationCapError
@@ -35,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="solve: one witness; all: every solution; "
                              "trace: per-step chain dump; verify: solve plus "
                              "oracle cross-checks, exit 0 on success")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel reduction workers (default 1)")
     parser.add_argument("--order", choices=("input", "size"), default="input",
                         help="factor order: input sequence or ascending clause width")
     parser.add_argument("--oracle-check", action="store_true",
@@ -74,7 +73,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = SolveConfig(
             factor_order=opts.order,
-            threads=opts.threads,
             trace=opts.mode == "trace",
             enumerate_all=opts.mode == "all",
             oracle_check=opts.oracle_check or opts.mode == "verify",
@@ -92,9 +90,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_SAT if result.status is SolveStatus.SAT else EXIT_UNSAT
 
 
-def _witness_line(point: Sequence[int]) -> str:
-    lits = [str(i + 1) if bit else str(-(i + 1)) for i, bit in enumerate(point)]
-    return "v " + " ".join(lits + ["0"])
+def _write_witnesses(points: Iterable[Sequence[int]], var_count: int) -> None:
+    """One 'v' line per point, streamed; literals are formatted once."""
+    literals = [(f"-{i} ", f"{i} ") for i in range(1, var_count + 1)]
+    sys.stdout.writelines("v " + "".join(map(getitem, literals, point)) + "0\n"
+                          for point in points)
 
 
 def _emit(result: SolveResult, opts) -> None:
@@ -114,10 +114,9 @@ def _emit(result: SolveResult, opts) -> None:
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
         if opts.mode == "all" and result.all_solutions is not None:
-            for point in result.all_solutions:
-                print(_witness_line(point))
+            _write_witnesses(result.all_solutions, result.var_count)
         elif result.witness is not None:
-            print(_witness_line(result.witness))
+            _write_witnesses([result.witness], result.var_count)
     else:
         print("s UNSATISFIABLE")
 
@@ -144,7 +143,7 @@ def _verify(formula: CnfFormula, result: SolveResult, opts) -> int:
         print("s SATISFIABLE" if result.status is SolveStatus.SAT
               else "s UNSATISFIABLE")
         if result.witness is not None:
-            print(_witness_line(result.witness))
+            _write_witnesses([result.witness], result.var_count)
     return EXIT_OK
 
 

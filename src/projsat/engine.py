@@ -10,7 +10,7 @@ to an ``==`` check.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 #: Default ceiling on the number of points an enumeration may visit.
 DEFAULT_ENUM_CAP = 1 << 24
@@ -21,6 +21,26 @@ _TRUE = 1
 
 class EnumerationCapError(ValueError):
     """An on-set enumeration would exceed the configured point cap."""
+
+
+def _enumerate(nodes, n: int, handle: int, level: int, point: list[int],
+               out: list[tuple[int, ...]]) -> None:
+    # Recursion depth is the variable count, which the enumeration cap
+    # keeps small; a module-level walker leaves no reference cycle.
+    if handle == _FALSE:
+        return
+    if level == n:
+        out.append(tuple(point))
+        return
+    if handle >= 2 and nodes[handle - 2][0] == level:
+        _, lo, hi = nodes[handle - 2]
+    else:
+        lo = hi = handle
+    point[level] = 0
+    _enumerate(nodes, n, lo, level + 1, point, out)
+    point[level] = 1
+    _enumerate(nodes, n, hi, level + 1, point, out)
+    point[level] = 0
 
 
 class BoolSpace:
@@ -273,25 +293,8 @@ class BoolFunc:
                 handle = lo
         return tuple(point)
 
-    def support(self) -> frozenset[int]:
-        """Indices of the variables the function actually depends on."""
-        nodes = self.space._nodes
-        seen: set[int] = set()
-        levels: set[int] = set()
-        stack = [self._handle]
-        while stack:
-            handle = stack.pop()
-            if handle < 2 or handle in seen:
-                continue
-            seen.add(handle)
-            level, lo, hi = nodes[handle - 2]
-            levels.add(level)
-            stack.append(lo)
-            stack.append(hi)
-        return frozenset(levels)
-
-    def node_count(self) -> int:
-        """Number of decision nodes in the representation (constants: 0)."""
+    def _reachable(self) -> set[int]:
+        """Handles of the decision nodes this function's graph contains."""
         nodes = self.space._nodes
         seen: set[int] = set()
         stack = [self._handle]
@@ -303,7 +306,16 @@ class BoolFunc:
             _, lo, hi = nodes[handle - 2]
             stack.append(lo)
             stack.append(hi)
-        return len(seen)
+        return seen
+
+    def support(self) -> frozenset[int]:
+        """Indices of the variables the function actually depends on."""
+        nodes = self.space._nodes
+        return frozenset(nodes[handle - 2][0] for handle in self._reachable())
+
+    def node_count(self) -> int:
+        """Number of decision nodes in the representation (constants: 0)."""
+        return len(self._reachable())
 
     def enumerate_on_set(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, ...]]:
         """All points mapped to 1, in lexicographic order.
@@ -315,31 +327,8 @@ class BoolFunc:
         if (1 << n) > cap:
             raise EnumerationCapError(
                 f"enumerating 2^{n} points exceeds the cap of {cap}")
-        nodes = self.space._nodes
         out: list[tuple[int, ...]] = []
-        point = [0] * n
-
-        def walk(handle: int, level: int) -> None:
-            if handle == _FALSE:
-                return
-            if level == n:
-                out.append(tuple(point))
-                return
-            node_level = nodes[handle - 2][0] if handle >= 2 else n
-            if node_level > level:
-                point[level] = 0
-                walk(handle, level + 1)
-                point[level] = 1
-                walk(handle, level + 1)
-            else:
-                _, lo, hi = nodes[handle - 2]
-                point[level] = 0
-                walk(lo, level + 1)
-                point[level] = 1
-                walk(hi, level + 1)
-            point[level] = 0
-
-        walk(self._handle, 0)
+        _enumerate(self.space._nodes, n, self._handle, 0, [0] * n, out)
         return out
 
     def compose(self, subst: Sequence["BoolFunc"]) -> "BoolFunc":
@@ -353,21 +342,61 @@ class BoolFunc:
             raise ValueError("substitution length does not match variable count")
         for entry in subst:
             space._check(entry)
+        nodes = space._nodes
+        # a node's children sit at deeper levels, so deepest first
+        # rebuilds every child before its parent
+        order = sorted(self._reachable(), key=lambda h: nodes[h - 2][0],
+                       reverse=True)
         with space._lock:
-            memo: dict[int, int] = {}
+            memo = {_FALSE: _FALSE, _TRUE: _TRUE}
+            for handle in order:
+                level, lo, hi = nodes[handle - 2]
+                memo[handle] = space._ite(subst[level]._handle, memo[hi], memo[lo])
+            return BoolFunc(space, memo[self._handle])
 
-            def walk(handle: int) -> int:
-                if handle < 2:
-                    return handle
-                done = memo.get(handle)
-                if done is not None:
-                    return done
-                level, lo, hi = space._nodes[handle - 2]
-                result = space._ite(subst[level]._handle, walk(hi), walk(lo))
-                memo[handle] = result
-                return result
+    def restrict(self, assignment: Mapping[int, int]) -> "BoolFunc":
+        """Cofactor by a cube: pin each variable index in ``assignment``.
 
-            return BoolFunc(space, walk(self._handle))
+        The result is f with x_i replaced by the constant assignment[i]
+        for every listed i, in one memoised walk linear in the size of
+        f.  An empty assignment returns f itself.
+        """
+        if not assignment:
+            return self
+        space = self.space
+        # nodes below the deepest pinned level come back unchanged
+        deepest = max(assignment)
+        if min(assignment) < 0 or deepest >= space.var_count:
+            raise ValueError("variable index out of range")
+        with space._lock:
+            nodes = space._nodes
+            memo = {_FALSE: _FALSE, _TRUE: _TRUE}
+            stack = [self._handle]
+            while stack:
+                handle = stack[-1]
+                if handle in memo:
+                    stack.pop()
+                    continue
+                level, lo, hi = nodes[handle - 2]
+                if level > deepest:
+                    memo[handle] = handle
+                    stack.pop()
+                    continue
+                bit = assignment.get(level)
+                if bit is not None:
+                    # a pinned node keeps one branch; _mk then returns it
+                    lo = hi = hi if bit else lo
+                lo_done = memo.get(lo)
+                hi_done = memo.get(hi)
+                if lo_done is None or hi_done is None:
+                    if lo_done is None:
+                        stack.append(lo)
+                    if hi_done is None:
+                        stack.append(hi)
+                    continue
+                memo[handle] = space._mk(level, lo_done, hi_done)
+                stack.pop()
+            return BoolFunc(space, memo[self._handle])
 
     def format_expr(self, max_terms: Optional[int] = None) -> str:
         """Sum-of-products rendering built from the 1-paths.
@@ -382,28 +411,22 @@ class BoolFunc:
         names = self.space._names
         nodes = self.space._nodes
         terms: list[str] = []
-        cube: list[str] = []
         truncated = False
-
-        def walk(handle: int) -> None:
-            nonlocal truncated
-            if truncated or handle == _FALSE:
-                return
+        # depth-first, low branch first, each entry with its path's literals
+        stack: list[tuple[int, tuple[str, ...]]] = [(self._handle, ())]
+        while stack:
+            handle, cube = stack.pop()
+            if handle == _FALSE:
+                continue
             if handle == _TRUE:
                 if max_terms is not None and len(terms) >= max_terms:
                     truncated = True
-                    return
+                    break
                 terms.append("&".join(cube) if cube else "1")
-                return
+                continue
             level, lo, hi = nodes[handle - 2]
-            cube.append("~" + names[level])
-            walk(lo)
-            cube.pop()
-            cube.append(names[level])
-            walk(hi)
-            cube.pop()
-
-        walk(self._handle)
+            stack.append((hi, cube + (names[level],)))
+            stack.append((lo, cube + ("~" + names[level],)))
         rendered = " | ".join(terms)
         return rendered + " | ..." if truncated else rendered
 

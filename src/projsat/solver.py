@@ -1,14 +1,20 @@
 """SAT by chained projective-cofactor reduction.
 
 The solver keeps one symbolic factor per clause.  At step i the
-current factor is frozen, a projection pinning its ON-set and
-targeting the OFF-set of the next remaining factor (as it currently
-stands, after earlier reductions) is built, and every remaining
-factor is composed with that projection (independently, so in
-parallel if asked).  Because the product of the remaining factors is
-always bounded by the chosen target, each step preserves that product
-exactly; the final factor therefore equals the conjunction of the
-whole formula and hands out witnesses and solution sets directly.
+current factor f is frozen and a projection is chosen that pins f's
+ON-set and sends every other point to one OFF-set point p of the next
+remaining factor t (as it currently stands, after earlier
+reductions).  Every remaining factor g is rewritten through that map.
+For this single-point map the rewrite has a closed form,
+
+    g o pi == ite(f, g, g restricted to supp(t) = p),
+
+so a step costs one cube restriction and one ite per factor; the
+substitution vector itself is built only when a trace asks for it.
+Because the product of the remaining factors is always bounded by the
+chosen target, each step preserves that product exactly; the final
+factor therefore equals the conjunction of the whole formula and hands
+out witnesses and solution sets directly.
 
 Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
@@ -19,7 +25,6 @@ trips the original-clause variant.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -40,15 +45,12 @@ class SolveConfig:
     """Solver knobs; the defaults give the sequential input-order run."""
 
     factor_order: str = "input"  # "input" or "size" (ascending clause width)
-    threads: int = 1
     trace: bool = False
     enumerate_all: bool = False
     oracle_check: bool = False
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.factor_order not in ("input", "size"):
             raise ValueError("factor_order must be 'input' or 'size'")
 
@@ -75,7 +77,11 @@ class ChainStep:
 
 @dataclass
 class SolveResult:
-    """Verdict, witness, optional solution set, and per-step records."""
+    """Verdict, witness, optional solution set, and per-step records.
+
+    ``final`` is the last factor, canonically equal to the conjunction
+    of the whole formula.
+    """
 
     status: SolveStatus
     witness: Optional[tuple[int, ...]]
@@ -83,6 +89,7 @@ class SolveResult:
     steps: list[StepRecord]
     chain: Optional[list[ChainStep]]
     var_count: int
+    final: Optional[BoolFunc]
 
     def to_json_dict(self) -> dict:
         """Plain-data mirror used by the CLI's JSON output."""
@@ -150,10 +157,6 @@ def check_sat_preservation(fixed: BoolFunc, other: BoolFunc,
     return (fixed & other) == projective_cofactor(other, fixed, proj)
 
 
-def _total_size(working: list[BoolFunc], start: int) -> int:
-    return sum(func.node_count() for func in working[start:])
-
-
 def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveResult:
     """Decide a CNF by chained projective reduction.
 
@@ -178,48 +181,43 @@ def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveRes
         tail = [ChainStep(space.true, None, space.true.node_count())]
         return _finalize(formula, cfg, SolveStatus.SAT, space.true, [], tail, n)
 
+    # node counts of the factors, refreshed only for rewritten ones
+    sizes = [func.node_count() for func in working]
     steps: list[StepRecord] = []
     chain: list[ChainStep] = []
     status = SolveStatus.SAT
     final: Optional[BoolFunc] = None
-    executor = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        for i in range(k):
-            current = working[i]
-            entry = ChainStep(current, None, current.node_count())
-            chain.append(entry)
-            if not current.is_sat():
-                status = SolveStatus.UNSAT
-                final = current
-                break
-            if i == k - 1:
-                final = current
-                break
-            if current == space.true:
-                size = _total_size(working, i + 1)
-                steps.append(StepRecord(i, 0, size, size, None))
-                continue
-            target = next((working[j] for j in range(i + 1, k)
-                           if working[j] != space.true), None)
-            if target is None:
-                final = current
-                break
-            proj = projection_for(current, target)
-            entry.projection = proj
-            before = _total_size(working, i + 1)
-            rest = range(i + 1, k)
-            if executor is not None:
-                updated = list(executor.map(
-                    lambda j: working[j].compose(proj.subst), rest))
-            else:
-                updated = [working[j].compose(proj.subst) for j in rest]
-            for j, func in zip(rest, updated):
-                working[j] = func
-            steps.append(StepRecord(i, current.node_count(), before,
-                                    _total_size(working, i + 1), proj.off_point))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for i in range(k):
+        current = working[i]
+        entry = ChainStep(current, None, sizes[i])
+        chain.append(entry)
+        if not current.is_sat():
+            status = SolveStatus.UNSAT
+            final = current
+            break
+        if i == k - 1:
+            final = current
+            break
+        before = sum(sizes[i + 1:])
+        if current == space.true:
+            steps.append(StepRecord(i, 0, before, before, None))
+            continue
+        target = next((working[j] for j in range(i + 1, k)
+                       if working[j] != space.true), None)
+        if target is None:
+            final = current
+            break
+        off = target.any_off_point()
+        cube = {v: off[v] for v in target.support()}
+        if cfg.trace:
+            entry.projection = projection_for(current, target)
+        for j in range(i + 1, k):
+            func = working[j]
+            rewritten = space.ite(current, func, func.restrict(cube))
+            if rewritten != func:
+                working[j] = rewritten
+                sizes[j] = rewritten.node_count()
+        steps.append(StepRecord(i, sizes[i], before, sum(sizes[i + 1:]), off))
 
     return _finalize(formula, cfg, status, final, steps, chain, n)
 
@@ -241,7 +239,7 @@ def _finalize(formula: CnfFormula, cfg: SolveConfig, status: SolveStatus,
     if cfg.oracle_check:
         _oracle_check(formula, status, final)
     return SolveResult(status, witness, solutions, steps,
-                       chain if cfg.trace else None, var_count)
+                       chain if cfg.trace else None, var_count, final)
 
 
 def _oracle_check(formula: CnfFormula, status: SolveStatus,

@@ -10,7 +10,9 @@ import random
 
 import numpy as np
 
-from projsat import BoolSpace, Clause, CnfFormula, Literal
+from projsat import BoolSpace, Clause, CnfFormula, Literal, clause_to_func
+from projsat.projections import projection_for
+from projsat.solver import ChainStep, StepRecord
 
 TWO_VAR_UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 FOUR_VAR_SAT = "p cnf 4 3\n-1 2 4 0\n-2 3 -4 0\n1 3 -4 0\n"
@@ -72,3 +74,36 @@ def clause_func(space: BoolSpace, clause: Clause):
         term = space.var(lit.var)
         acc = acc | (~term if lit.negated else term)
     return acc
+
+
+def compose_path(formula: CnfFormula, space: BoolSpace, factor_order="input"):
+    """The solver's loop with the general compose rewrite, as a reference.
+
+    Every remaining factor is composed with the full substitution vector
+    of the step's projection.  Returns the chain and the step records in
+    the form solve() gives them with trace on; meant for formulas whose
+    clauses are all non-empty.
+    """
+    live = [c for c in formula.clauses if not c.is_tautology]
+    if factor_order == "size":
+        live = sorted(live, key=len)
+    working = [clause_to_func(c, space) for c in live]
+    chain, steps = [], []
+    for i, current in enumerate(working):
+        chain.append(ChainStep(current, None, current.node_count()))
+        if not current.is_sat() or i == len(working) - 1:
+            break
+        before = sum(f.node_count() for f in working[i + 1:])
+        if current == space.true:
+            steps.append(StepRecord(i, 0, before, before, None))
+            continue
+        target = next((f for f in working[i + 1:] if f != space.true), None)
+        if target is None:
+            break
+        proj = projection_for(current, target)
+        chain[-1].projection = proj
+        working[i + 1:] = [f.compose(proj.subst) for f in working[i + 1:]]
+        after = sum(f.node_count() for f in working[i + 1:])
+        steps.append(StepRecord(i, current.node_count(), before, after,
+                                proj.off_point))
+    return chain, steps

@@ -14,7 +14,10 @@ pytest's capture) so a full run always shows the per-criterion outcome:
   5. the cofactor interval laws hold on 500 random instances each;
   6. projection composition pins intersected regions and substitution
      distributes over the connectives, 500 random instances;
-  7. thread counts 1 and 8 give identical results on 100 formulas.
+  7. the solver's closed-form rewrite gives the same factors, step
+     records, projections, witnesses and solution sets as composing
+     every remaining factor with the projection's substitution, on
+     100 formulas.
 """
 
 import random
@@ -26,14 +29,13 @@ import pytest
 from projsat import BoolSpace, parse_dimacs
 from projsat.cnf import clause_to_func
 from projsat.cofactors import cofactor_interval, general_cofactor, is_cofactor
-from projsat.oracle import (formula_satisfied, tt_equal, tt_of_formula,
-                            tt_of_func)
+from projsat.oracle import formula_satisfied, tt_of_formula
 from projsat.projections import (compose_projections, projection_for,
                                  verify_projection)
 from projsat.solver import SolveConfig, SolveStatus, solve
 
-from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, clause_func, random_clause,
-                     random_cnf, random_func)
+from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, clause_func, compose_path,
+                     random_clause, random_cnf, random_func)
 
 
 @pytest.fixture
@@ -225,19 +227,18 @@ def test_06_projection_composition_and_homomorphisms(report):
             done += 1
 
 
-def test_07_parallel_determinism(report):
-    with report("7 parallel determinism, 100 formulas"):
+def test_07_closed_form_equals_projection_composition(report):
+    with report("7 closed-form rewrite equals the projection composition, "
+                "100 formulas"):
         rng = random.Random(0xACC7)
         for _ in range(100):
             formula = random_cnf(rng)
-            narrow = solve(formula, SolveConfig(trace=True, threads=1))
-            wide = solve(formula, SolveConfig(trace=True, threads=8))
-            assert narrow.status == wide.status
-            assert narrow.witness == wide.witness
-            assert narrow.steps == wide.steps
-            assert len(narrow.chain) == len(wide.chain)
-            for a, b in zip(narrow.chain, wide.chain):
-                assert tt_equal(tt_of_func(a.func), tt_of_func(b.func))
-                off_a = a.projection.off_point if a.projection else None
-                off_b = b.projection.off_point if b.projection else None
-                assert off_a == off_b
+            result = solve(formula, SolveConfig(trace=True))
+            chain, steps = compose_path(formula, result.final.space)
+            assert result.chain == chain
+            assert result.steps == steps
+            # the untraced run takes the same steps to the same answers
+            plain = solve(formula, SolveConfig(enumerate_all=True))
+            assert plain.steps == steps
+            assert plain.witness == chain[-1].func.any_on_point()
+            assert plain.all_solutions == chain[-1].func.enumerate_on_set()

@@ -89,12 +89,6 @@ class TestExitCodes:
         assert run(["--help"]) == EXIT_OK
         assert "--mode" in capsys.readouterr().out
 
-    def test_bad_thread_count(self, tmp_path, capsys):
-        code, _, err = run_cli(["--threads", "0"], cnf=FOUR_VAR_SAT,
-                               tmp_path=tmp_path, capsys=capsys)
-        assert code == EXIT_ERROR
-        assert "error:" in err
-
 
 class TestStdin:
     def test_reads_stdin_by_default(self, capsys, monkeypatch):
@@ -215,15 +209,14 @@ class TestInvariantsOnRandomInstances:
             else:
                 assert code == EXIT_UNSAT
 
-    def test_order_and_threads_leave_answers_unchanged(self, tmp_path,
-                                                       capsys):
+    def test_order_leaves_answers_unchanged(self, tmp_path, capsys):
         rng = random.Random(0xC12)
         for trial in range(10):
             formula = random_cnf(rng, max_vars=7, max_clauses=12)
             text = emit_dimacs(formula)
             outputs = []
-            for extra in ([], ["--order", "size"], ["--threads", "4"]):
+            for extra in ([], ["--order", "size"]):
                 code, out, _ = run_cli(list(extra), cnf=text,
                                        tmp_path=tmp_path, capsys=capsys)
                 outputs.append((code, out))
-            assert outputs[0] == outputs[1] == outputs[2]
+            assert outputs[0] == outputs[1]

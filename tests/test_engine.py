@@ -1,7 +1,9 @@
 """Core function-algebra engine: canonicity, evaluation, structure."""
 
+import gc
 import random
 import threading
+import weakref
 from itertools import product
 
 import numpy as np
@@ -330,6 +332,62 @@ class TestCompose:
         subst = [s.false, s.true, s.var(0)]
         assert s.true.compose(subst) == s.true
         assert s.false.compose(subst) == s.false
+
+
+
+class TestRestrict:
+    def test_empty_cube_is_identity(self):
+        rng = random.Random(22)
+        s = BoolSpace(4)
+        for _ in range(20):
+            f, _ = random_func(s, rng)
+            assert f.restrict({}) == f
+
+    def test_full_cube_is_the_value_at_the_point(self):
+        rng = random.Random(23)
+        s = BoolSpace(4)
+        for _ in range(20):
+            f, _ = random_func(s, rng)
+            for p in all_points(4):
+                cube = dict(enumerate(p))
+                assert f.restrict(cube) == s.const(f(p))
+
+    def test_matches_compose_with_constants(self):
+        rng = random.Random(24)
+        s = BoolSpace(6)
+        for _ in range(100):
+            f, _ = random_func(s, rng)
+            pinned = rng.sample(range(6), rng.randint(1, 6))
+            cube = {v: rng.randint(0, 1) for v in pinned}
+            subst = [s.const(cube[i]) if i in cube else s.var(i)
+                     for i in range(6)]
+            assert f.restrict(cube) == f.compose(subst)
+
+    def test_index_out_of_range(self):
+        s = BoolSpace(3)
+        with pytest.raises(ValueError):
+            s.var(0).restrict({3: 1})
+        with pytest.raises(ValueError):
+            s.var(0).restrict({-1: 0})
+
+
+class TestReferenceCycles:
+    def test_walks_free_the_space_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            s = BoolSpace(4)
+            alive = weakref.ref(s)
+            f = (s.var(0) & ~s.var(2)) | s.var(3)
+            f.compose(s.identity_subst())
+            f.restrict({0: 1, 3: 0})
+            f.enumerate_on_set()
+            f.format_expr()
+            del s, f
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 ast_strategy = st.recursive(

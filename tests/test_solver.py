@@ -22,11 +22,12 @@ from projsat import (
     solve,
     solve_chain_trace,
 )
-from projsat.oracle import tt_equal, tt_of_formula, tt_of_func
+from projsat.oracle import tt_of_formula
 
 from helpers import (
     FOUR_VAR_SAT,
     TWO_VAR_UNSAT,
+    compose_path,
     random_clause,
     random_cnf,
     random_func,
@@ -218,8 +219,6 @@ class TestSolveBasics:
             solve(formula, SolveConfig(enumerate_all=True, enum_cap=3))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="threads"):
-            SolveConfig(threads=0)
         with pytest.raises(ValueError, match="factor_order"):
             SolveConfig(factor_order="widest")
 
@@ -322,21 +321,51 @@ class TestSolveAgainstOracle:
         assert sizes_input != [] and res.status is res_sorted.status
 
 
-class TestParallel:
-    def test_thread_count_does_not_change_results(self):
-        rng = random.Random(113)
-        for _ in range(30):
-            formula = random_cnf(rng, max_vars=8, max_clauses=16)
-            base = solve(formula, SolveConfig(trace=True, enumerate_all=True))
-            par = solve(formula, SolveConfig(trace=True, enumerate_all=True,
-                                             threads=4))
-            assert base.status is par.status
-            assert base.witness == par.witness
-            assert base.all_solutions == par.all_solutions
-            assert len(base.chain) == len(par.chain)
-            for a, b in zip(base.chain, par.chain):
-                assert tt_equal(tt_of_func(a.func), tt_of_func(b.func))
 
+class TestClosedFormRewrite:
+    def test_restriction_matches_composition_with_the_projection(self):
+        # g o pi == ite(f, g, g restricted to supp(t) = p) for the
+        # single-point map pi built from fixed f, target t, off-point p
+        rng = random.Random(114)
+        for _ in range(300):
+            s = BoolSpace(rng.randint(1, 6))
+            fixed, target = fresh_pair(s, rng)
+            g, _ = random_func(s, rng)
+            off = target.any_off_point()
+            cube = {v: off[v] for v in target.support()}
+            proj = projection_for(fixed, target)
+            assert g.compose(proj.subst) == s.ite(fixed, g, g.restrict(cube))
+
+    def test_steps_match_compose_path(self):
+        # size order and mid-run tautologies, which criterion 7 leaves out
+        rng = random.Random(115)
+        cases = [(TestSoundnessRegression().brittle_formula(), "input")]
+        for _ in range(30):
+            cases.append((random_cnf(rng, max_vars=9, max_clauses=30,
+                                     min_vars=6), "size"))
+        for formula, order in cases:
+            res = solve(formula, SolveConfig(trace=True, factor_order=order))
+            chain, steps = compose_path(formula, res.final.space, order)
+            assert res.chain == chain
+            assert res.steps == steps
+
+    def test_long_chain_final_factor_equals_conjunction(self):
+        # 300 variables, above the oracle's cap: checked against direct
+        # conjunction instead; polarities renamed by a fixed seed
+        rng = random.Random(116)
+        n = 300
+        sign = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
+        clauses = [Clause.from_ints([sign[0]])]
+        clauses += [Clause.from_ints([-sign[i - 1] * i, sign[i] * (i + 1)])
+                    for i in range(1, n)]
+        formula = CnfFormula(n, clauses)
+        res = solve(formula)
+        assert res.status is SolveStatus.SAT
+        assert res.witness == tuple(1 if v > 0 else 0 for v in sign)
+        assert res.final == formula_to_func(formula, res.final.space)
+
+
+class TestParallel:
     def test_repeat_runs_identical(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
         first = solve(formula, SolveConfig(trace=True))
