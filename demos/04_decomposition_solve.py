@@ -9,7 +9,7 @@ satisfiability, witnesses, and solution counts drop out of it directly.
 """
 
 from projsat import parse_dimacs
-from projsat.solver import SolveConfig, SolveStatus, solve
+from projsat.solver import SolveStatus, solve
 
 SAT_TEXT = """\
 p cnf 4 3
@@ -30,11 +30,11 @@ p cnf 2 4
 def show(name, text):
     print(f"== {name} ==")
     formula = parse_dimacs(text)
-    result = solve(formula, SolveConfig(trace=True))
+    result = solve(formula)
     for i, step in enumerate(result.chain, start=1):
         line = f"f{i} = {step.func.format_expr(max_terms=12)}"
-        if step.projection is not None:
-            off = "".join(str(b) for b in step.projection.off_point)
+        if step.off_point is not None:
+            off = "".join(str(b) for b in step.off_point)
             line += f"   (next projection lands on {off})"
         print(" ", line)
     print("  verdict:", result.status.value)

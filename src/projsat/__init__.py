@@ -4,8 +4,8 @@ and a chained-decomposition SAT solver.
 The engine gives canonical function objects, the cofactor and
 projection modules expose the interval algebra and region-pinning cube
 maps built on top of it, the solver decides CNF satisfiability by
-composing factors with projections, and the oracle cross-checks all of
-it against exhaustive truth tables.
+rewriting factors with closed-form projective cofactors, and the
+oracle cross-checks all of it against exhaustive truth tables.
 """
 
 from .engine import (
@@ -45,10 +45,8 @@ from .solver import (
     SolveResult,
     SolveStatus,
     StepRecord,
-    check_sat_preservation,
     projective_cofactor,
     solve,
-    solve_chain_trace,
 )
 from .oracle import (
     MAX_TABLE_VARS,
@@ -81,7 +79,6 @@ __all__ = [
     "SolveStatus",
     "StepRecord",
     "TruthTable",
-    "check_sat_preservation",
     "clause_to_func",
     "cofactor_interval",
     "compose_projections",
@@ -99,7 +96,6 @@ __all__ = [
     "projection_for",
     "projective_cofactor",
     "solve",
-    "solve_chain_trace",
     "tt_equal",
     "tt_of_formula",
     "tt_of_func",

@@ -73,7 +73,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = SolveConfig(
             factor_order=opts.order,
-            trace=opts.mode == "trace",
             enumerate_all=opts.mode == "all",
             oracle_check=opts.oracle_check or opts.mode == "verify",
         )
@@ -97,20 +96,36 @@ def _write_witnesses(points: Iterable[Sequence[int]], var_count: int) -> None:
                           for point in points)
 
 
+def _pin_literals(pins: dict[int, int]) -> list[int]:
+    """A pinned cube as signed DIMACS literals, sorted by variable."""
+    return [v + 1 if bit else -(v + 1) for v, bit in sorted(pins.items())]
+
+
+def _chain_json(result: SolveResult) -> list[dict]:
+    return [
+        {
+            "size": step.size,
+            "formula": step.func.format_expr(max_terms=32),
+            "off_point": list(step.off_point) if step.off_point is not None else None,
+            "pins": _pin_literals(step.pins) if step.pins is not None else None,
+        }
+        for step in result.chain
+    ]
+
+
 def _emit(result: SolveResult, opts) -> None:
     if opts.json:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+        data = result.to_json_dict()
+        data["chain"] = _chain_json(result) if opts.mode == "trace" else None
+        print(json.dumps(data, indent=2, sort_keys=True))
         return
-    if opts.mode == "trace" and result.chain is not None:
+    if opts.mode == "trace":
         for lineno, step in enumerate(result.chain, start=1):
-            if step.projection is not None and step.projection.off_point is not None:
-                off = "".join(str(b) for b in step.projection.off_point)
-            else:
-                off = "-"
+            off = "-" if step.off_point is None else "".join(map(str, step.off_point))
             print(f"c step {lineno}: factor size {step.size}, off-point {off}")
-            if step.projection is not None:
-                for line in step.projection.dump():
-                    print(f"c   {line}")
+            if step.pins is not None:
+                literals = "".join(f"{lit} " for lit in _pin_literals(step.pins))
+                print(f"c   pins {literals}0")
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
         if opts.mode == "all" and result.all_solutions is not None:
@@ -135,6 +150,7 @@ def _verify(formula: CnfFormula, result: SolveResult, opts) -> int:
         checks.append("oracle confirms unsatisfiability")
     if opts.json:
         payload = result.to_json_dict()
+        payload["chain"] = None
         payload["verified"] = checks
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

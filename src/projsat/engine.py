@@ -263,30 +263,23 @@ class BoolFunc:
 
     def any_on_point(self) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest point mapped to 1, or None if none."""
-        if self._handle == _FALSE:
-            return None
-        nodes = self.space._nodes
-        point = [0] * self.space.var_count
-        handle = self._handle
-        while handle >= 2:
-            level, lo, hi = nodes[handle - 2]
-            if lo == _FALSE:
-                point[level] = 1
-                handle = hi
-            else:
-                handle = lo
-        return tuple(point)
+        return self._first_point_avoiding(_FALSE)
 
     def any_off_point(self) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest point mapped to 0, or None if none."""
-        if self._handle == _TRUE:
+        return self._first_point_avoiding(_TRUE)
+
+    def _first_point_avoiding(self, away: int) -> Optional[tuple[int, ...]]:
+        # every decision node reaches both constants, so the low branch
+        # leads to the other constant unless it is ``away`` itself
+        if self._handle == away:
             return None
         nodes = self.space._nodes
         point = [0] * self.space.var_count
         handle = self._handle
         while handle >= 2:
             level, lo, hi = nodes[handle - 2]
-            if lo == _TRUE:
+            if lo == away:
                 point[level] = 1
                 handle = hi
             else:

@@ -3,12 +3,12 @@
 Tables are filled straight from clause data with numpy index
 arithmetic, touching none of the engine's code, so agreement between
 the two paths is evidence rather than tautology.  The only bridge back
-is tt_of_func, which evaluates an engine function point by point.
+is tt_of_func, which reads an engine function's graph level by level
+into a table.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -81,13 +81,34 @@ def tt_of_formula(formula: CnfFormula) -> TruthTable:
 
 
 def tt_of_func(func) -> TruthTable:
-    """Bridge from the engine: evaluate a BoolFunc at every point."""
+    """Bridge from the engine: a BoolFunc's value at every point.
+
+    Before level L an array holds, in lexicographic order, the node
+    that each of the 2^L prefixes reaches; each entry then doubles into
+    its low and high child, or into itself twice when its node does not
+    test variable L.  Nodes get compact ids, and the constants keep
+    their handles 0 and 1.
+    """
     n = func.space.var_count
     if n > MAX_TABLE_VARS:
         raise ValueError(f"{n} variables exceed the table cap of {MAX_TABLE_VARS}")
-    bits = np.fromiter((func(p) for p in product((0, 1), repeat=n)),
-                       dtype=bool, count=1 << n)
-    return TruthTable(n, bits)
+    nodes = func.space._nodes
+    inner = sorted(func._reachable())
+    handles = np.array([0, 1] + inner, dtype=np.int32)
+    rows = [(n, 0, 0), (n, 1, 1)] + [nodes[h - 2] for h in inner]
+    level, lo, hi = np.array(rows, dtype=np.int32).T.copy()
+    # a node's compact id is its position in the sorted handle array
+    lo, hi = np.searchsorted(handles, (lo, hi)).astype(np.int32)
+    reached = np.searchsorted(handles, [func._handle]).astype(np.int32)
+    for var in range(n):
+        tests = level[reached] == var
+        # the last level reaches constants only, so it can be kept as bits
+        dtype = bool if var == n - 1 else np.int32
+        doubled = np.empty(2 * reached.size, dtype=dtype)
+        doubled[0::2] = np.where(tests, lo[reached], reached)
+        doubled[1::2] = np.where(tests, hi[reached], reached)
+        reached = doubled
+    return TruthTable(n, reached == 1)
 
 
 def tt_equal(first: TruthTable, second: TruthTable) -> bool:

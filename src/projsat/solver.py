@@ -9,12 +9,14 @@ For this single-point map the rewrite has a closed form,
 
     g o pi == ite(f, g, g restricted to supp(t) = p),
 
-so a step costs one cube restriction and one ite per factor; the
-substitution vector itself is built only when a trace asks for it.
-Because the product of the remaining factors is always bounded by the
-chosen target, each step preserves that product exactly; the final
-factor therefore equals the conjunction of the whole formula and hands
-out witnesses and solution sets directly.
+so a step costs one cube restriction and one ite per factor, and the
+substitution vector is never built.  The chain records each step as
+the frozen factor, the off-point p and the pinned cube supp(t) = p,
+which together determine the map.  Because the product of the
+remaining factors is always bounded by the chosen target, each step
+preserves that product exactly; the final factor therefore equals the
+conjunction of the whole formula and hands out witnesses and solution
+sets directly.
 
 Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
@@ -25,13 +27,14 @@ trips the original-clause variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .cnf import CnfFormula, clause_to_func
 from .engine import DEFAULT_ENUM_CAP, BoolFunc, BoolSpace
 from .oracle import tt_equal, tt_of_formula, tt_of_func
+# projection_for is unused here; bench/tracing.py wraps it under this name
 from .projections import Projection, projection_for, verify_projection
 
 
@@ -45,7 +48,6 @@ class SolveConfig:
     """Solver knobs; the defaults give the sequential input-order run."""
 
     factor_order: str = "input"  # "input" or "size" (ascending clause width)
-    trace: bool = False
     enumerate_all: bool = False
     oracle_check: bool = False
     enum_cap: int = DEFAULT_ENUM_CAP
@@ -68,32 +70,41 @@ class StepRecord:
 
 @dataclass
 class ChainStep:
-    """One frozen factor plus the projection chosen at that step."""
+    """One frozen factor plus the projective step taken from it.
+
+    ``off_point`` is the smallest OFF-set point p of the step's target t
+    and ``pins`` the cube {v: p[v] for v in supp(t)} that the remaining
+    factors were restricted by off the frozen factor; with ``func`` they
+    determine the projection.  Both are None for the last factor and for
+    skipped tautologies.
+    """
 
     func: BoolFunc
-    projection: Optional[Projection]
     size: int
+    off_point: Optional[tuple[int, ...]] = None
+    pins: Optional[dict[int, int]] = None
 
 
 @dataclass
 class SolveResult:
     """Verdict, witness, optional solution set, and per-step records.
 
-    ``final`` is the last factor, canonically equal to the conjunction
-    of the whole formula.
+    ``chain`` holds one entry per frozen factor, and ``final`` is the
+    last factor, canonically equal to the conjunction of the whole
+    formula.
     """
 
     status: SolveStatus
     witness: Optional[tuple[int, ...]]
     all_solutions: Optional[list[tuple[int, ...]]]
     steps: list[StepRecord]
-    chain: Optional[list[ChainStep]]
+    chain: list[ChainStep]
     var_count: int
     final: Optional[BoolFunc]
 
     def to_json_dict(self) -> dict:
-        """Plain-data mirror used by the CLI's JSON output."""
-        data = {
+        """Plain-data mirror, chain aside, used by the CLI's JSON output."""
+        return {
             "status": self.status.value,
             "var_count": self.var_count,
             "witness": list(self.witness) if self.witness is not None else None,
@@ -110,23 +121,6 @@ class SolveResult:
                 for s in self.steps
             ],
         }
-        if self.chain is not None:
-            data["chain"] = [
-                {
-                    "size": step.size,
-                    "formula": step.func.format_expr(max_terms=32),
-                    "off_point": (list(step.projection.off_point)
-                                  if step.projection is not None
-                                  and step.projection.off_point is not None
-                                  else None),
-                    "projection": (step.projection.dump()
-                                   if step.projection is not None else None),
-                }
-                for step in self.chain
-            ]
-        else:
-            data["chain"] = None
-        return data
 
 
 def projective_cofactor(func: BoolFunc, fixed: BoolFunc, proj: Projection, *,
@@ -146,23 +140,13 @@ def projective_cofactor(func: BoolFunc, fixed: BoolFunc, proj: Projection, *,
     return func.compose(proj.subst)
 
 
-def check_sat_preservation(fixed: BoolFunc, other: BoolFunc,
-                           proj: Projection) -> bool:
-    """True when fixed & other and the projective cofactor coincide.
-
-    This is the exact property that lets the solver replace a
-    conjunction with a single composed factor without changing its
-    solution set.
-    """
-    return (fixed & other) == projective_cofactor(other, fixed, proj)
-
-
 def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveResult:
     """Decide a CNF by chained projective reduction.
 
     Tautological clauses are dropped up front; an empty clause is an
     immediate UNSAT.  The remaining factors are reduced left to right,
     and the final factor's on-set is the formula's full solution set.
+    The result's chain records every step the loop took.
     """
     cfg = config if config is not None else SolveConfig()
     n = formula.var_count
@@ -170,7 +154,7 @@ def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveRes
 
     live = [c for c in formula.clauses if not c.is_tautology]
     if any(not c.literals for c in live):
-        tail = [ChainStep(space.false, None, space.false.node_count())]
+        tail = [ChainStep(space.false, space.false.node_count())]
         return _finalize(formula, cfg, SolveStatus.UNSAT, space.false, [], tail, n)
     if cfg.factor_order == "size":
         live = sorted(live, key=len)
@@ -178,7 +162,7 @@ def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveRes
     working = [clause_to_func(c, space) for c in live]
     k = len(working)
     if k == 0:
-        tail = [ChainStep(space.true, None, space.true.node_count())]
+        tail = [ChainStep(space.true, space.true.node_count())]
         return _finalize(formula, cfg, SolveStatus.SAT, space.true, [], tail, n)
 
     # node counts of the factors, refreshed only for rewritten ones
@@ -189,7 +173,7 @@ def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveRes
     final: Optional[BoolFunc] = None
     for i in range(k):
         current = working[i]
-        entry = ChainStep(current, None, sizes[i])
+        entry = ChainStep(current, sizes[i])
         chain.append(entry)
         if not current.is_sat():
             status = SolveStatus.UNSAT
@@ -209,8 +193,7 @@ def solve(formula: CnfFormula, config: Optional[SolveConfig] = None) -> SolveRes
             break
         off = target.any_off_point()
         cube = {v: off[v] for v in target.support()}
-        if cfg.trace:
-            entry.projection = projection_for(current, target)
+        entry.off_point, entry.pins = off, cube
         for j in range(i + 1, k):
             func = working[j]
             rewritten = space.ite(current, func, func.restrict(cube))
@@ -238,8 +221,8 @@ def _finalize(formula: CnfFormula, cfg: SolveConfig, status: SolveStatus,
             solutions = []
     if cfg.oracle_check:
         _oracle_check(formula, status, final)
-    return SolveResult(status, witness, solutions, steps,
-                       chain if cfg.trace else None, var_count, final)
+    return SolveResult(status, witness, solutions, steps, chain, var_count,
+                       final)
 
 
 def _oracle_check(formula: CnfFormula, status: SolveStatus,
@@ -252,16 +235,3 @@ def _oracle_check(formula: CnfFormula, status: SolveStatus,
     if not ok:
         raise RuntimeError("final factor disagrees with the exhaustive oracle")
 
-
-def solve_chain_trace(formula: CnfFormula,
-                      config: Optional[SolveConfig] = None) -> list[ChainStep]:
-    """Run the solver and return the frozen-factor chain.
-
-    Entry i holds the factor as it stood when the outer loop froze it,
-    together with the projection built from it (None for the last
-    factor and for skipped tautologies).
-    """
-    cfg = replace(config, trace=True) if config is not None else SolveConfig(trace=True)
-    result = solve(formula, cfg)
-    assert result.chain is not None
-    return result.chain

@@ -67,6 +67,19 @@ def random_cnf(rng: random.Random, max_vars: int = 10, max_clauses: int = 25,
     return CnfFormula(n, [random_clause(n, rng) for _ in range(m)])
 
 
+def implication_chain(n: int, rng: random.Random):
+    """x1, x1 -> x2, ..., x(n-1) -> xn with polarities renamed at random.
+
+    The only model is the polarity vector: bit i is 1 where variable i
+    kept its sign.  Returns the formula and that model.
+    """
+    sign = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
+    clauses = [Clause.from_ints([sign[0]])]
+    clauses += [Clause.from_ints([-sign[i - 1] * i, sign[i] * (i + 1)])
+                for i in range(1, n)]
+    return CnfFormula(n, clauses), tuple(1 if v > 0 else 0 for v in sign)
+
+
 def clause_func(space: BoolSpace, clause: Clause):
     """Engine-side disjunction built literal by literal, bypassing cnf.py."""
     acc = space.false
@@ -76,13 +89,34 @@ def clause_func(space: BoolSpace, clause: Clause):
     return acc
 
 
+def projection_pins(proj):
+    """The cube a single-point projection pins off its fixed region.
+
+    Read from the projection itself: the variables its target depends
+    on, found by composing the target with both constants in place of
+    each variable, set to the projection's off-point bits.
+    """
+    target = proj.target
+    space = target.space
+    pins = {}
+    for v in range(space.var_count):
+        cofactors = []
+        for bit in (0, 1):
+            subst = space.identity_subst()
+            subst[v] = space.const(bit)
+            cofactors.append(target.compose(subst))
+        if cofactors[0] != cofactors[1]:
+            pins[v] = proj.off_point[v]
+    return pins
+
+
 def compose_path(formula: CnfFormula, space: BoolSpace, factor_order="input"):
     """The solver's loop with the general compose rewrite, as a reference.
 
     Every remaining factor is composed with the full substitution vector
     of the step's projection.  Returns the chain and the step records in
-    the form solve() gives them with trace on; meant for formulas whose
-    clauses are all non-empty.
+    the form solve() gives them; meant for formulas whose clauses are
+    all non-empty.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
     if factor_order == "size":
@@ -90,7 +124,7 @@ def compose_path(formula: CnfFormula, space: BoolSpace, factor_order="input"):
     working = [clause_to_func(c, space) for c in live]
     chain, steps = [], []
     for i, current in enumerate(working):
-        chain.append(ChainStep(current, None, current.node_count()))
+        chain.append(ChainStep(current, current.node_count()))
         if not current.is_sat() or i == len(working) - 1:
             break
         before = sum(f.node_count() for f in working[i + 1:])
@@ -101,7 +135,8 @@ def compose_path(formula: CnfFormula, space: BoolSpace, factor_order="input"):
         if target is None:
             break
         proj = projection_for(current, target)
-        chain[-1].projection = proj
+        chain[-1].off_point = proj.off_point
+        chain[-1].pins = projection_pins(proj)
         working[i + 1:] = [f.compose(proj.subst) for f in working[i + 1:]]
         after = sum(f.node_count() for f in working[i + 1:])
         steps.append(StepRecord(i, current.node_count(), before, after,

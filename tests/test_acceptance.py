@@ -15,9 +15,9 @@ pytest's capture) so a full run always shows the per-criterion outcome:
   6. projection composition pins intersected regions and substitution
      distributes over the connectives, 500 random instances;
   7. the solver's closed-form rewrite gives the same factors, step
-     records, projections, witnesses and solution sets as composing
-     every remaining factor with the projection's substitution, on
-     100 formulas.
+     records, off-points, pinned cubes, witnesses and solution sets as
+     composing every remaining factor with the projection's
+     substitution, on 100 formulas.
 """
 
 import random
@@ -58,7 +58,7 @@ def test_01_contradiction_chain_regression(report):
     with report("1 contradiction chain regression"):
         formula = parse_dimacs(TWO_VAR_UNSAT)
         start = perf_counter()
-        result = solve(formula, SolveConfig(trace=True))
+        result = solve(formula)
         elapsed = perf_counter() - start
         assert result.status is SolveStatus.UNSAT
         assert result.witness is None
@@ -67,9 +67,11 @@ def test_01_contradiction_chain_regression(report):
         space = chain[0].func.space
         x, y = space.var(0), space.var(1)
         assert [step.func for step in chain] == [x | y, x, x & y, space.false]
-        offs = [step.projection.off_point for step in chain
-                if step.projection is not None]
-        assert offs == [(0, 1), (1, 0), (1, 1)]
+        assert [step.off_point for step in chain] == [
+            (0, 1), (1, 0), (1, 1), None]
+        # every target depends on both variables, so all of it is pinned
+        assert [step.pins for step in chain] == [
+            {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: 1}, None]
         assert elapsed < 1.0
 
 
@@ -77,7 +79,7 @@ def test_02_satisfiable_chain_regression(report):
     with report("2 satisfiable chain regression"):
         formula = parse_dimacs(FOUR_VAR_SAT)
         start = perf_counter()
-        result = solve(formula, SolveConfig(trace=True))
+        result = solve(formula)
         everything = solve(formula, SolveConfig(enumerate_all=True))
         elapsed = perf_counter() - start
         assert result.status is SolveStatus.SAT
@@ -89,11 +91,14 @@ def test_02_satisfiable_chain_regression(report):
         assert chain[1].func == c1 & c2
         assert chain[2].func == c1 & c2 & c3
 
-        first = chain[0].projection
-        assert first.off_point == (0, 1, 0, 1)
+        assert chain[0].off_point == (0, 1, 0, 1)
+        assert chain[0].pins == {1: 1, 2: 0, 3: 1}
         # the first projection already leaves the third clause alone
-        assert c3.compose(first.subst) == c3
-        assert chain[1].projection.off_point == (0, 0, 0, 1)
+        first = chain[0]
+        assert space.ite(first.func, c3, c3.restrict(first.pins)) == c3
+        assert chain[1].off_point == (0, 0, 0, 1)
+        assert chain[1].pins == {0: 0, 2: 0, 3: 1}
+        assert chain[2].off_point is None and chain[2].pins is None
 
         assert result.witness == (0, 0, 0, 0)
         assert formula_satisfied(formula, result.witness)
@@ -233,12 +238,9 @@ def test_07_closed_form_equals_projection_composition(report):
         rng = random.Random(0xACC7)
         for _ in range(100):
             formula = random_cnf(rng)
-            result = solve(formula, SolveConfig(trace=True))
+            result = solve(formula, SolveConfig(enumerate_all=True))
             chain, steps = compose_path(formula, result.final.space)
             assert result.chain == chain
             assert result.steps == steps
-            # the untraced run takes the same steps to the same answers
-            plain = solve(formula, SolveConfig(enumerate_all=True))
-            assert plain.steps == steps
-            assert plain.witness == chain[-1].func.any_on_point()
-            assert plain.all_solutions == chain[-1].func.enumerate_on_set()
+            assert result.witness == chain[-1].func.any_on_point()
+            assert result.all_solutions == chain[-1].func.enumerate_on_set()

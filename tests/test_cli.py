@@ -16,7 +16,7 @@ from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, run
 from projsat.cnf import emit_dimacs
 from projsat.oracle import formula_satisfied, tt_of_formula
 
-from helpers import FOUR_VAR_SAT, TWO_VAR_UNSAT, random_cnf
+from helpers import FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain, random_cnf
 
 
 def parse_witness_line(line):
@@ -116,6 +116,7 @@ class TestJsonOutput:
         assert formula_satisfied(parse_dimacs(FOUR_VAR_SAT), data["witness"])
         assert data["all_solutions"] is None
         assert all(step["remaining_after"] >= 1 for step in data["steps"])
+        assert data["chain"] is None
 
     def test_unsat_shape(self, tmp_path, capsys):
         code, out, _ = run_cli(["--json"], cnf=TWO_VAR_UNSAT,
@@ -131,8 +132,12 @@ class TestJsonOutput:
         data = json.loads(out)
         again = json.dumps(data, indent=2, sort_keys=True)
         assert again == out.rstrip("\n")
-        assert "chain" in data
-        assert data["chain"][-1]["size"] >= 1
+        chain = data["chain"]
+        assert chain[-1]["size"] >= 1
+        assert [entry["off_point"] for entry in chain] == [
+            [0, 1, 0, 1], [0, 0, 0, 1], None]
+        assert [entry["pins"] for entry in chain] == [
+            [2, -3, 4], [-1, -3, 4], None]
 
     def test_verify_json_lists_checks(self, tmp_path, capsys):
         code, out, _ = run_cli(["--json", "--mode", "verify"],
@@ -144,20 +149,31 @@ class TestJsonOutput:
 
 
 class TestTraceMode:
-    def test_step_lines_and_projection_dumps(self, tmp_path, capsys):
+    def test_step_lines_and_pin_lines(self, tmp_path, capsys):
         code, out, _ = run_cli(["--mode", "trace"], cnf=FOUR_VAR_SAT,
                                tmp_path=tmp_path, capsys=capsys)
         assert code == EXIT_SAT
         lines = out.splitlines()
-        steps = [l for l in lines if l.startswith("c step ")]
-        assert len(steps) == 3
-        for line in steps:
-            assert "factor size" in line
-            off = line.rsplit("off-point ", 1)[1]
-            assert off == "-" or set(off) <= {"0", "1"}
-        assert any(l.startswith("c   ") and " -> " in l for l in lines)
+        assert lines[:5] == [
+            "c step 1: factor size 3, off-point 0101",
+            "c   pins 2 -3 4 0",
+            "c step 2: factor size 6, off-point 0001",
+            "c   pins -1 -3 4 0",
+            "c step 3: factor size 5, off-point -",
+        ]
         assert lines[-2] == "s SATISFIABLE"
         parse_witness_line(lines[-1])
+
+    def test_long_chain_prints_two_lines_per_step(self, tmp_path, capsys):
+        formula, model = implication_chain(300, random.Random(116))
+        code, out, _ = run_cli(["--mode", "trace"], cnf=emit_dimacs(formula),
+                               tmp_path=tmp_path, capsys=capsys)
+        assert code == EXIT_SAT
+        lines = out.splitlines()
+        comments = [l for l in lines if l.startswith("c ")]
+        assert sum(l.startswith("c step ") for l in comments) == 300
+        assert len(comments) <= 2 * 300
+        assert parse_witness_line(lines[-1]) == model
 
     def test_trace_on_unsat_ends_with_status(self, tmp_path, capsys):
         code, out, _ = run_cli(["--mode", "trace"], cnf=TWO_VAR_UNSAT,

@@ -107,6 +107,19 @@ class TestBridge:
             f, table = random_func(s, rng)
             assert np.array_equal(tt_of_func(f).bits, table)
 
+    def test_matches_pointwise_evaluation(self):
+        # the level-by-level descent against the engine's own evaluator,
+        # from the 0-variable space up, constants included
+        rng = random.Random(44)
+        for n in range(0, 11):
+            s = BoolSpace(n)
+            funcs = [s.false, s.true]
+            funcs += [random_func(s, rng, depth=rng.randint(1, 6))[0]
+                      for _ in range(12 if n else 0)]
+            for f in funcs:
+                want = [f(index_to_point(i, n)) for i in range(1 << n)]
+                assert tt_of_func(f).bits.tolist() == [bool(b) for b in want]
+
 
 class TestPointCheck:
     def test_formula_satisfied(self):

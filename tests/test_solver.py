@@ -13,14 +13,12 @@ from projsat import (
     SolveConfig,
     SolveResult,
     SolveStatus,
-    check_sat_preservation,
     clause_to_func,
     formula_to_func,
     parse_dimacs,
     projection_for,
     projective_cofactor,
     solve,
-    solve_chain_trace,
 )
 from projsat.oracle import tt_of_formula
 
@@ -28,6 +26,7 @@ from helpers import (
     FOUR_VAR_SAT,
     TWO_VAR_UNSAT,
     compose_path,
+    implication_chain,
     random_clause,
     random_cnf,
     random_func,
@@ -153,13 +152,13 @@ class TestSatPreservation:
             if target == s.true:
                 continue
             proj = projection_for(fixed, target)
-            assert check_sat_preservation(fixed, target, proj)
+            assert (fixed & target) == projective_cofactor(target, fixed, proj)
 
     def test_full_region_identity(self):
         s = BoolSpace(3)
         h = s.var(0) | s.var(1)
         proj = projection_for(s.true, h)
-        assert check_sat_preservation(s.true, h, proj)
+        assert (s.true & h) == projective_cofactor(h, s.true, proj)
 
 
 def sat_points(formula):
@@ -191,14 +190,13 @@ class TestSolveBasics:
         assert res.steps == []
 
     def test_tautologies_only(self):
-        res = solve(CnfFormula(2, [Clause.from_ints([1, -1])]),
-                    SolveConfig(trace=True))
+        res = solve(CnfFormula(2, [Clause.from_ints([1, -1])]))
         assert res.status is SolveStatus.SAT
         assert res.chain[-1].func == res.chain[-1].func.space.true
 
     def test_single_clause(self):
         formula = CnfFormula(3, [Clause.from_ints([1, -3])])
-        chain = solve_chain_trace(formula)
+        chain = solve(formula).chain
         assert len(chain) == 1
         s = chain[0].func.space
         assert chain[0].func == clause_to_func(formula.clauses[0], s)
@@ -238,7 +236,7 @@ class TestSoundnessRegression:
     def test_escaped_factor_instance_is_unsat(self):
         formula = self.brittle_formula()
         assert tt_of_formula(formula).count() == 0
-        res = solve(formula, SolveConfig(trace=True, oracle_check=True))
+        res = solve(formula, SolveConfig(oracle_check=True))
         assert res.status is SolveStatus.UNSAT
 
     def test_mid_run_tautology_is_skipped_and_harmless(self):
@@ -246,7 +244,7 @@ class TestSoundnessRegression:
         # it must be passed over both as a frozen factor and as a
         # projection target
         formula = self.brittle_formula()
-        res = solve(formula, SolveConfig(trace=True))
+        res = solve(formula)
         s = res.chain[0].func.space
         assert any(step.func == s.true for step in res.chain)
         assert res.chain[-1].func == s.false
@@ -259,8 +257,7 @@ class TestSoundnessRegression:
             Clause.from_ints([2]),
             Clause.from_ints([1, -2]),
         ])
-        res = solve(formula, SolveConfig(trace=True, enumerate_all=True,
-                                         oracle_check=True))
+        res = solve(formula, SolveConfig(enumerate_all=True, oracle_check=True))
         assert res.status is SolveStatus.SAT
         assert res.all_solutions == [(1, 1)]
 
@@ -294,8 +291,7 @@ class TestSolveAgainstOracle:
         rng = random.Random(111)
         for _ in range(60):
             formula = random_cnf(rng, max_vars=8, max_clauses=14)
-            chain = solve_chain_trace(formula)
-            final = chain[-1].func
+            final = solve(formula).chain[-1].func
             direct = formula_to_func(formula, final.space)
             assert final == direct
 
@@ -313,9 +309,9 @@ class TestSolveAgainstOracle:
             Clause.from_ints([2]),
             Clause.from_ints([-1, 3]),
         ])
-        res = solve(formula, SolveConfig(trace=True))
+        res = solve(formula)
         sizes_input = [step.factor_size for step in res.steps]
-        res_sorted = solve(formula, SolveConfig(trace=True, factor_order="size"))
+        res_sorted = solve(formula, SolveConfig(factor_order="size"))
         s = res_sorted.chain[0].func.space
         assert res_sorted.chain[0].func == clause_to_func(formula.clauses[1], s)
         assert sizes_input != [] and res.status is res_sorted.status
@@ -344,7 +340,7 @@ class TestClosedFormRewrite:
             cases.append((random_cnf(rng, max_vars=9, max_clauses=30,
                                      min_vars=6), "size"))
         for formula, order in cases:
-            res = solve(formula, SolveConfig(trace=True, factor_order=order))
+            res = solve(formula, SolveConfig(factor_order=order))
             chain, steps = compose_path(formula, res.final.space, order)
             assert res.chain == chain
             assert res.steps == steps
@@ -352,24 +348,18 @@ class TestClosedFormRewrite:
     def test_long_chain_final_factor_equals_conjunction(self):
         # 300 variables, above the oracle's cap: checked against direct
         # conjunction instead; polarities renamed by a fixed seed
-        rng = random.Random(116)
-        n = 300
-        sign = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
-        clauses = [Clause.from_ints([sign[0]])]
-        clauses += [Clause.from_ints([-sign[i - 1] * i, sign[i] * (i + 1)])
-                    for i in range(1, n)]
-        formula = CnfFormula(n, clauses)
+        formula, model = implication_chain(300, random.Random(116))
         res = solve(formula)
         assert res.status is SolveStatus.SAT
-        assert res.witness == tuple(1 if v > 0 else 0 for v in sign)
+        assert res.witness == model
         assert res.final == formula_to_func(formula, res.final.space)
 
 
 class TestParallel:
     def test_repeat_runs_identical(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
-        first = solve(formula, SolveConfig(trace=True))
-        second = solve(formula, SolveConfig(trace=True))
+        first = solve(formula)
+        second = solve(formula)
         assert first.witness == second.witness
         assert [c.size for c in first.chain] == [c.size for c in second.chain]
 
@@ -377,32 +367,43 @@ class TestParallel:
 class TestRecords:
     def test_steps_reference_frozen_factors(self):
         formula = parse_dimacs(TWO_VAR_UNSAT)
-        res = solve(formula, SolveConfig(trace=True))
+        res = solve(formula)
         indices = [step.factor_index for step in res.steps]
         assert indices == sorted(indices)
         for step in res.steps:
             if step.off_point is not None:
                 assert len(step.off_point) == formula.var_count
 
-    def test_chain_records_projections(self):
-        formula = parse_dimacs(TWO_VAR_UNSAT)
-        chain = solve_chain_trace(formula)
-        assert all(entry.projection is not None for entry in chain[:-1])
-        assert chain[-1].projection is None
+    def test_chain_records_off_points_and_pins(self):
+        formula = parse_dimacs(FOUR_VAR_SAT)
+        res = solve(formula)
+        chain = res.chain
+        assert all(entry.off_point is not None for entry in chain[:-1])
+        assert chain[-1].off_point is None and chain[-1].pins is None
+        for entry, after, record in zip(chain, chain[1:], res.steps):
+            assert entry.off_point == record.off_point
+            assert entry.pins == {v: entry.off_point[v] for v in entry.pins}
+            # here each target is the next factor, whose reduced form
+            # vanishes on the pinned cube
+            assert after.func.restrict(entry.pins) == res.final.space.false
 
-    def test_trace_off_by_default(self):
-        res = solve(parse_dimacs(TWO_VAR_UNSAT))
-        assert res.chain is None
+    def test_every_solve_returns_the_chain(self):
+        configs = [SolveConfig(), SolveConfig(factor_order="size"),
+                   SolveConfig(enumerate_all=True, oracle_check=True)]
+        for text in (TWO_VAR_UNSAT, FOUR_VAR_SAT):
+            for cfg in configs:
+                res = solve(parse_dimacs(text), cfg)
+                assert res.chain[-1].func == res.final
+                assert len(res.chain) == len(res.steps) + 1
 
     def test_json_dict_shape(self):
-        res = solve(parse_dimacs(FOUR_VAR_SAT),
-                    SolveConfig(trace=True, enumerate_all=True))
+        res = solve(parse_dimacs(FOUR_VAR_SAT), SolveConfig(enumerate_all=True))
         data = res.to_json_dict()
         assert data["status"] == "SAT"
         assert data["var_count"] == 4
         assert isinstance(data["witness"], list)
         assert isinstance(data["all_solutions"], list)
-        assert data["chain"][-1]["projection"] is None
+        assert "chain" not in data
         for step in data["steps"]:
             assert set(step) == {"factor_index", "factor_size",
                                  "remaining_before", "remaining_after",
@@ -413,4 +414,4 @@ class TestRecords:
         data = res.to_json_dict()
         assert data["status"] == "UNSAT"
         assert data["witness"] is None
-        assert data["chain"] is None
+        assert "chain" not in data
