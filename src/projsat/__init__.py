@@ -13,6 +13,7 @@ from .engine import (
     BoolFunc,
     BoolSpace,
     EnumerationCapError,
+    PointRows,
 )
 from .cnf import (
     Clause,
@@ -73,6 +74,7 @@ __all__ = [
     "EnumerationCapError",
     "Literal",
     "MAX_TABLE_VARS",
+    "PointRows",
     "Projection",
     "SolveConfig",
     "SolveResult",

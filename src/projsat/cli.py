@@ -2,8 +2,10 @@
 
 Exit codes follow the SAT-competition convention: 10 for SAT, 20 for
 UNSAT, 0 for a successful --mode verify run, 1 for usage, parse, or
-runtime errors.  Human output uses 's' and 'v' lines; --json emits one
-object mirroring the SolveResult instead.
+runtime errors.  Human output uses 's' and 'v' lines; --json prints one
+object mirroring the SolveResult on a single line instead.  'v' lines
+are rendered from packed bit rows a block at a time, one table lookup
+per byte of eight variables.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import getitem
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .cnf import CnfFormula, DimacsParseError, parse_dimacs
-from .engine import EnumerationCapError
+from .engine import EnumerationCapError, PointRows
 from .oracle import formula_satisfied
 from .solver import SolveConfig, SolveResult, SolveStatus, solve
 
@@ -89,11 +92,35 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_SAT if result.status is SolveStatus.SAT else EXIT_UNSAT
 
 
-def _write_witnesses(points: Iterable[Sequence[int]], var_count: int) -> None:
-    """One 'v' line per point, streamed; literals are formatted once."""
-    literals = [(f"-{i} ", f"{i} ") for i in range(1, var_count + 1)]
-    sys.stdout.writelines("v " + "".join(map(getitem, literals, point)) + "0\n"
-                          for point in points)
+#: Rows rendered per block of 'v' lines.
+_BLOCK_ROWS = 1 << 14
+
+
+def _byte_literals(value: int, first: int, var_count: int) -> str:
+    """Literals of the variables one packed byte holds, x_first in its high bit."""
+    names = range(first, min(first + 8, var_count + 1))
+    return "".join(f"{var} " if (value >> (7 - bit)) & 1 else f"-{var} "
+                   for bit, var in enumerate(names))
+
+
+def _write_witnesses(points: PointRows) -> None:
+    """One 'v' line per point, rendered from the packed rows.
+
+    A block of rows is keyed by column * 256 + byte value, and literal
+    strings are built only for the keys present, so a single line costs
+    O(n); numpy object arrays then join each row's column strings.
+    """
+    rows, var_count = points.rows, points.var_count
+    offsets = 256 * np.arange(rows.shape[1])
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        keys = rows[start:start + _BLOCK_ROWS] + offsets
+        table = np.empty(offsets.size * 256, dtype=object)
+        present = np.flatnonzero(np.bincount(keys.ravel(), minlength=table.size))
+        table[present] = [_byte_literals(key & 255, 8 * (key >> 8) + 1, var_count)
+                          for key in present.tolist()]
+        lines = np.add.reduce(table[keys], axis=1, initial="v ")
+        lines += "0\n"
+        sys.stdout.write("".join(lines.tolist()))
 
 
 def _pin_literals(pins: dict[int, int]) -> list[int]:
@@ -117,7 +144,7 @@ def _emit(result: SolveResult, opts) -> None:
     if opts.json:
         data = result.to_json_dict()
         data["chain"] = _chain_json(result) if opts.mode == "trace" else None
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data, sort_keys=True))
         return
     if opts.mode == "trace":
         for lineno, step in enumerate(result.chain, start=1):
@@ -129,9 +156,10 @@ def _emit(result: SolveResult, opts) -> None:
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
         if opts.mode == "all" and result.all_solutions is not None:
-            _write_witnesses(result.all_solutions, result.var_count)
+            _write_witnesses(result.all_solutions)
         elif result.witness is not None:
-            _write_witnesses([result.witness], result.var_count)
+            _write_witnesses(PointRows.from_points([result.witness],
+                                                   result.var_count))
     else:
         print("s UNSATISFIABLE")
 
@@ -152,14 +180,15 @@ def _verify(formula: CnfFormula, result: SolveResult, opts) -> int:
         payload = result.to_json_dict()
         payload["chain"] = None
         payload["verified"] = checks
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in checks:
             print(f"c verified: {line}")
         print("s SATISFIABLE" if result.status is SolveStatus.SAT
               else "s UNSATISFIABLE")
         if result.witness is not None:
-            _write_witnesses([result.witness], result.var_count)
+            _write_witnesses(PointRows.from_points([result.witness],
+                                                   result.var_count))
     return EXIT_OK
 
 

@@ -5,12 +5,19 @@ ordered binary decision diagrams with hash-consed nodes.  Within one
 space two functions are pointwise equal exactly when they carry the
 same node handle, so every algebraic identity in this package reduces
 to an ``==`` check.
+
+Solution sets come back as :class:`PointRows`, packed bit rows filled
+by one numpy descent over the function's nodes, level by level.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Optional, Sequence, Union
+from collections.abc import Mapping, Sequence
+from operator import eq
+from typing import Optional, Union
+
+import numpy as np
 
 #: Default ceiling on the number of points an enumeration may visit.
 DEFAULT_ENUM_CAP = 1 << 24
@@ -23,24 +30,64 @@ class EnumerationCapError(ValueError):
     """An on-set enumeration would exceed the configured point cap."""
 
 
-def _enumerate(nodes, n: int, handle: int, level: int, point: list[int],
-               out: list[tuple[int, ...]]) -> None:
-    # Recursion depth is the variable count, which the enumeration cap
-    # keeps small; a module-level walker leaves no reference cycle.
-    if handle == _FALSE:
-        return
-    if level == n:
-        out.append(tuple(point))
-        return
-    if handle >= 2 and nodes[handle - 2][0] == level:
-        _, lo, hi = nodes[handle - 2]
-    else:
-        lo = hi = handle
-    point[level] = 0
-    _enumerate(nodes, n, lo, level + 1, point, out)
-    point[level] = 1
-    _enumerate(nodes, n, hi, level + 1, point, out)
-    point[level] = 0
+#: Rows unpacked at a time when a PointRows view is iterated.
+_UNPACK_ROWS = 1 << 14
+
+
+class PointRows(Sequence):
+    """Read-only sequence of n-bit points stored as packed bit rows.
+
+    ``rows`` is a (points x ceil(n/8)) uint8 array in the np.packbits
+    layout: variable i is bit 7 - i % 8 of byte i // 8, so x1 is the
+    high bit of byte 0.  Items are n-bit tuples, and a view compares
+    equal to another view or to any sequence of the same tuples.
+    """
+
+    __slots__ = ("rows", "var_count")
+
+    def __init__(self, rows: np.ndarray, var_count: int):
+        rows = np.asarray(rows, dtype=np.uint8).view()
+        if rows.ndim != 2 or rows.shape[1] != (var_count + 7) // 8:
+            raise ValueError("rows must be a 2-D array of ceil(n/8) bytes each")
+        rows.flags.writeable = False
+        self.rows = rows
+        self.var_count = var_count
+
+    @classmethod
+    def from_points(cls, points: Sequence[Sequence[int]],
+                    var_count: int) -> "PointRows":
+        """Pack a sequence of n-bit points, in the order given."""
+        bits = np.array(points, dtype=np.uint8).reshape(len(points), var_count)
+        return cls(np.packbits(bits, axis=1), var_count)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointRows(self.rows[index], self.var_count)
+        return tuple(np.unpackbits(self.rows[index], count=self.var_count).tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self), _UNPACK_ROWS):
+            yield from map(tuple, self[start:start + _UNPACK_ROWS].tolist())
+
+    def tolist(self) -> list[list[int]]:
+        """Every point as a list of bits, unpacked in one call."""
+        return np.unpackbits(self.rows, axis=1, count=self.var_count).tolist()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PointRows):
+            return (self.var_count == other.var_count
+                    and np.array_equal(self.rows, other.rows))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map(repr, self[:8]))
+        more = f", ... {len(self)} points" if len(self) > 8 else ""
+        return f"PointRows([{shown}{more}])"
 
 
 class BoolSpace:
@@ -310,8 +357,33 @@ class BoolFunc:
         """Number of decision nodes in the representation (constants: 0)."""
         return len(self._reachable())
 
-    def enumerate_on_set(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, ...]]:
-        """All points mapped to 1, in lexicographic order.
+    def _node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The reachable graph as compact int32 arrays for numpy descents.
+
+        Returns ``(level, lo, hi, root)``.  Compact ids follow the sorted
+        handles, so the constants keep ids 0 and 1; they sit at level n
+        and are their own children.
+        """
+        n = self.space.var_count
+        nodes = self.space._nodes
+        inner = sorted(self._reachable())
+        handles = np.array([0, 1] + inner, dtype=np.int32)
+        rows = [(n, 0, 0), (n, 1, 1)] + [nodes[h - 2] for h in inner]
+        level, lo, hi = np.array(rows, dtype=np.int32).T.copy()
+        # a node's compact id is its position in the sorted handle array
+        lo, hi = np.searchsorted(handles, (lo, hi)).astype(np.int32)
+        root = int(np.searchsorted(handles, self._handle))
+        return level, lo, hi, root
+
+    def enumerate_on_set(self, cap: int = DEFAULT_ENUM_CAP) -> PointRows:
+        """All points mapped to 1, in lexicographic order, as packed rows.
+
+        Before level L the rows hold, in lexicographic order, the L-bit
+        prefixes that still reach a node other than constant 0, and
+        ``reached`` that node; each row then doubles into its low and
+        high child, and children at constant 0 are dropped.  Every
+        surviving prefix extends to a model, so no level holds more rows
+        than the result.
 
         Raises EnumerationCapError when the space holds more than
         ``cap`` points, since the result may need to list all of them.
@@ -320,9 +392,19 @@ class BoolFunc:
         if (1 << n) > cap:
             raise EnumerationCapError(
                 f"enumerating 2^{n} points exceeds the cap of {cap}")
-        out: list[tuple[int, ...]] = []
-        _enumerate(self.space._nodes, n, self._handle, 0, [0] * n, out)
-        return out
+        level, lo, hi, root = self._node_arrays()
+        reached = np.array([root] if root != _FALSE else [], dtype=np.int32)
+        rows = np.zeros((reached.size, (n + 7) // 8), dtype=np.uint8)
+        for var in range(n):
+            tests = level[reached] == var
+            children = np.empty(2 * reached.size, dtype=np.int32)
+            children[0::2] = np.where(tests, lo[reached], reached)
+            children[1::2] = np.where(tests, hi[reached], reached)
+            live = np.flatnonzero(children)
+            rows = rows[live >> 1]
+            rows[:, var >> 3] |= ((live & 1) << (7 - (var & 7))).astype(np.uint8)
+            reached = children[live]
+        return PointRows(rows, n)
 
     def compose(self, subst: Sequence["BoolFunc"]) -> "BoolFunc":
         """Substitute one function per variable and renormalize.

@@ -4,7 +4,9 @@ Tables are filled straight from clause data with numpy index
 arithmetic, touching none of the engine's code, so agreement between
 the two paths is evidence rather than tautology.  The only bridge back
 is tt_of_func, which reads an engine function's graph level by level
-into a table.
+into a table.  It takes the graph as the compact node arrays the
+engine's on-set enumeration also descends; tt_of_formula reads none
+of them.
 """
 
 from __future__ import annotations
@@ -86,20 +88,14 @@ def tt_of_func(func) -> TruthTable:
     Before level L an array holds, in lexicographic order, the node
     that each of the 2^L prefixes reaches; each entry then doubles into
     its low and high child, or into itself twice when its node does not
-    test variable L.  Nodes get compact ids, and the constants keep
-    their handles 0 and 1.
+    test variable L.  The node arrays are the engine's compact ones,
+    which its on-set enumeration descends too.
     """
     n = func.space.var_count
     if n > MAX_TABLE_VARS:
         raise ValueError(f"{n} variables exceed the table cap of {MAX_TABLE_VARS}")
-    nodes = func.space._nodes
-    inner = sorted(func._reachable())
-    handles = np.array([0, 1] + inner, dtype=np.int32)
-    rows = [(n, 0, 0), (n, 1, 1)] + [nodes[h - 2] for h in inner]
-    level, lo, hi = np.array(rows, dtype=np.int32).T.copy()
-    # a node's compact id is its position in the sorted handle array
-    lo, hi = np.searchsorted(handles, (lo, hi)).astype(np.int32)
-    reached = np.searchsorted(handles, [func._handle]).astype(np.int32)
+    level, lo, hi, root = func._node_arrays()
+    reached = np.array([root], dtype=np.int32)
     for var in range(n):
         tests = level[reached] == var
         # the last level reaches constants only, so it can be kept as bits

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from .cnf import CnfFormula, clause_to_func
-from .engine import DEFAULT_ENUM_CAP, BoolFunc, BoolSpace
+from .engine import DEFAULT_ENUM_CAP, BoolFunc, BoolSpace, PointRows
 from .oracle import tt_equal, tt_of_formula, tt_of_func
 # projection_for is unused here; bench/tracing.py wraps it under this name
 from .projections import Projection, projection_for, verify_projection
@@ -89,14 +89,15 @@ class ChainStep:
 class SolveResult:
     """Verdict, witness, optional solution set, and per-step records.
 
-    ``chain`` holds one entry per frozen factor, and ``final`` is the
-    last factor, canonically equal to the conjunction of the whole
-    formula.
+    ``all_solutions`` is the final factor's on-set as packed bit rows
+    (None unless enumeration was asked for), ``chain`` holds one entry
+    per frozen factor, and ``final`` is the last factor, canonically
+    equal to the conjunction of the whole formula.
     """
 
     status: SolveStatus
     witness: Optional[tuple[int, ...]]
-    all_solutions: Optional[list[tuple[int, ...]]]
+    all_solutions: Optional[PointRows]
     steps: list[StepRecord]
     chain: list[ChainStep]
     var_count: int
@@ -108,7 +109,7 @@ class SolveResult:
             "status": self.status.value,
             "var_count": self.var_count,
             "witness": list(self.witness) if self.witness is not None else None,
-            "all_solutions": ([list(p) for p in self.all_solutions]
+            "all_solutions": (self.all_solutions.tolist()
                               if self.all_solutions is not None else None),
             "steps": [
                 {
@@ -218,7 +219,7 @@ def _finalize(formula: CnfFormula, cfg: SolveConfig, status: SolveStatus,
         if status is SolveStatus.SAT and final is not None:
             solutions = final.enumerate_on_set(cfg.enum_cap)
         else:
-            solutions = []
+            solutions = PointRows.from_points([], var_count)
     if cfg.oracle_check:
         _oracle_check(formula, status, final)
     return SolveResult(status, witness, solutions, steps, chain, var_count,

@@ -7,6 +7,7 @@ code paths end to end.
 """
 
 import random
+from operator import getitem
 
 import numpy as np
 
@@ -78,6 +79,17 @@ def implication_chain(n: int, rng: random.Random):
     clauses += [Clause.from_ints([-sign[i - 1] * i, sign[i] * (i + 1)])
                 for i in range(1, n)]
     return CnfFormula(n, clauses), tuple(1 if v > 0 else 0 for v in sign)
+
+
+def reference_v_lines(points, var_count: int) -> str:
+    """The 'v' lines of the points, built literal by literal.
+
+    The reference that the CLI's byte-table renderer must match byte
+    for byte.
+    """
+    literals = [(f"-{i} ", f"{i} ") for i in range(1, var_count + 1)]
+    return "".join("v " + "".join(map(getitem, literals, point)) + "0\n"
+                   for point in points)
 
 
 def clause_func(space: BoolSpace, clause: Clause):

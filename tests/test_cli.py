@@ -11,12 +11,13 @@ import types
 
 import pytest
 
-from projsat import parse_dimacs
+from projsat import Clause, CnfFormula, parse_dimacs
 from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, run
 from projsat.cnf import emit_dimacs
-from projsat.oracle import formula_satisfied, tt_of_formula
+from projsat.oracle import formula_satisfied, index_to_point, tt_of_formula
 
-from helpers import FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain, random_cnf
+from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain,
+                     random_clause, random_cnf, reference_v_lines)
 
 
 def parse_witness_line(line):
@@ -130,7 +131,7 @@ class TestJsonOutput:
         _, out, _ = run_cli(["--json", "--mode", "trace"], cnf=FOUR_VAR_SAT,
                             tmp_path=tmp_path, capsys=capsys)
         data = json.loads(out)
-        again = json.dumps(data, indent=2, sort_keys=True)
+        again = json.dumps(data, sort_keys=True)
         assert again == out.rstrip("\n")
         chain = data["chain"]
         assert chain[-1]["size"] >= 1
@@ -138,6 +139,22 @@ class TestJsonOutput:
             [0, 1, 0, 1], [0, 0, 0, 1], None]
         assert [entry["pins"] for entry in chain] == [
             [2, -3, 4], [-1, -3, 4], None]
+
+    def test_long_chain_prints_one_line(self, tmp_path, capsys):
+        formula, model = implication_chain(300, random.Random(117))
+        code, out, _ = run_cli(["--json"], cnf=emit_dimacs(formula),
+                               tmp_path=tmp_path, capsys=capsys)
+        assert code == EXIT_SAT
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["witness"] == list(model)
+
+    def test_all_solutions_are_bit_lists(self, tmp_path, capsys):
+        code, out, _ = run_cli(["--json", "--mode", "all"], cnf=FOUR_VAR_SAT,
+                               tmp_path=tmp_path, capsys=capsys)
+        assert code == EXIT_SAT
+        assert len(out.splitlines()) == 1
+        points = tt_of_formula(parse_dimacs(FOUR_VAR_SAT)).satisfying_points()
+        assert json.loads(out)["all_solutions"] == [list(p) for p in points]
 
     def test_verify_json_lists_checks(self, tmp_path, capsys):
         code, out, _ = run_cli(["--json", "--mode", "verify"],
@@ -201,6 +218,22 @@ class TestAllMode:
         assert code == EXIT_ERROR
         assert "error:" in err
 
+    def test_enum_cap_message(self, tmp_path, capsys):
+        code, out, err = run_cli(["--mode", "all", "--max-enum", "2"],
+                                 cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
+                                 capsys=capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: enumerating 2^4 points exceeds the cap of 2\n"
+
+    def test_cap_beyond_any_fixed_width_rank(self, tmp_path, capsys):
+        formula, model = implication_chain(80, random.Random(118))
+        code, out, _ = run_cli(["--mode", "all", "--max-enum", str(1 << 81)],
+                               cnf=emit_dimacs(formula), tmp_path=tmp_path,
+                               capsys=capsys)
+        assert code == EXIT_SAT
+        assert out == "s SATISFIABLE\n" + reference_v_lines([model], 80)
+
     def test_enum_cap_large_enough(self, tmp_path, capsys):
         code, out, _ = run_cli(["--mode", "all", "--max-enum", "16"],
                                cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
@@ -236,3 +269,67 @@ class TestInvariantsOnRandomInstances:
                                        tmp_path=tmp_path, capsys=capsys)
                 outputs.append((code, out))
             assert outputs[0] == outputs[1]
+
+
+def sweep_formulas(n, rng):
+    """Clause-free, satisfiable and unsatisfiable formulas over n variables.
+
+    The satisfiable one keeps 3n random clauses that a planted point
+    satisfies.  Clause-free formulas stop at n = 17 (131,072 lines), so
+    the test stays small.
+    """
+    if n == 0:
+        return [CnfFormula(0, []), CnfFormula(0, [Clause.from_ints([])])]
+    formulas = [CnfFormula(n, [])] if n <= 17 else []
+    planted = [rng.randint(0, 1) for _ in range(n)]
+    clauses = []
+    while len(clauses) < 3 * n:
+        clause = random_clause(n, rng)
+        if clause.satisfied_by(planted):
+            clauses.append(clause)
+    formulas.append(CnfFormula(n, clauses))
+    formulas.append(CnfFormula(n, clauses + [Clause.from_ints([1]),
+                                             Clause.from_ints([-1])]))
+    return formulas
+
+
+class TestVLines:
+    """Byte identity of the table-driven 'v' lines with the reference."""
+
+    SIZES = (0, 1, 7, 8, 9, 15, 16, 17, 20)
+
+    def test_all_mode_matches_reference(self, tmp_path, capsys):
+        rng = random.Random(0xB17E)
+        for n in self.SIZES:
+            for formula in sweep_formulas(n, rng):
+                points = tt_of_formula(formula).satisfying_points()
+                code, out, _ = run_cli(["--mode", "all"],
+                                       cnf=emit_dimacs(formula),
+                                       tmp_path=tmp_path, capsys=capsys)
+                if points:
+                    assert code == EXIT_SAT
+                    assert out == ("s SATISFIABLE\n"
+                                   + reference_v_lines(points, n))
+                else:
+                    assert code == EXIT_UNSAT
+                    assert out == "s UNSATISFIABLE\n"
+
+    def test_single_witness_matches_reference(self, tmp_path, capsys):
+        rng = random.Random(0xB17F)
+        # --mode verify needs the oracle, which stops at 24 variables
+        chain, model = implication_chain(100, rng)
+        cases = [(chain, model, ("solve",))]
+        for n in self.SIZES:
+            for formula in sweep_formulas(n, rng):
+                bits = tt_of_formula(formula).bits
+                if bits.any():
+                    first = index_to_point(int(bits.argmax()), n)
+                    cases.append((formula, first, ("solve", "verify")))
+        for formula, witness, modes in cases:
+            line = reference_v_lines([witness], formula.var_count)
+            for mode in modes:
+                code, out, _ = run_cli(["--mode", mode],
+                                       cnf=emit_dimacs(formula),
+                                       tmp_path=tmp_path, capsys=capsys)
+                assert code == (EXIT_SAT if mode == "solve" else EXIT_OK)
+                assert out.endswith("s SATISFIABLE\n" + line)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projsat import BoolFunc, BoolSpace, EnumerationCapError
+from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows
+from projsat.oracle import TruthTable
 
 from helpers import bit_columns, random_func
 
@@ -288,6 +289,43 @@ class TestEnumeration:
             s.true.enumerate_on_set(cap=31)
         assert len(s.true.enumerate_on_set(cap=32)) == 32
 
+    def test_matches_truth_table_points(self):
+        rng = random.Random(21)
+        for n in range(11):
+            s = BoolSpace(n)
+            cases = [(s.false, np.zeros(1 << n, dtype=bool)),
+                     (s.true, np.ones(1 << n, dtype=bool))]
+            if n:
+                cases += [random_func(s, rng) for _ in range(12)]
+            for f, table in cases:
+                got = f.enumerate_on_set()
+                assert got == TruthTable(n, table).satisfying_points()
+                assert got.rows.shape == (len(got), (n + 7) // 8)
+
+    def test_point_rows_sequence_protocol(self):
+        s = BoolSpace(10)
+        f = s.var(0) ^ s.var(9)
+        points = f.enumerate_on_set()
+        expect = [p for p in all_points(10) if p[0] != p[9]]
+        assert len(points) == len(expect) == 512
+        assert list(points) == expect
+        assert points[0] == expect[0] and points[-1] == expect[-1]
+        assert points[3:7] == expect[3:7]
+        assert isinstance(points[3:7], PointRows)
+        assert points == f.enumerate_on_set() and points == expect
+        assert PointRows.from_points(expect, 10) == points
+        assert points != expect[1:] and points != (~f).enumerate_on_set()
+        assert points.tolist() == [list(p) for p in expect]
+        with pytest.raises(IndexError):
+            points[512]
+        with pytest.raises(ValueError):
+            points.rows[0, 0] = 0
+        # x1 is the high bit of byte 0, x10 the second bit of byte 1
+        assert points.rows[0].tolist() == [0b00000000, 0b01000000]
+        assert repr(s.true.enumerate_on_set(cap=1 << 10)[:2]) == (
+            "PointRows([(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), "
+            "(0, 0, 0, 0, 0, 0, 0, 0, 0, 1)])")
+
 
 class TestCompose:
     def test_identity_substitution(self):
@@ -386,6 +424,19 @@ class TestReferenceCycles:
             del s, f
             assert alive() is None
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_solution_rows_hold_no_space(self):
+        gc.collect()
+        gc.disable()
+        try:
+            s = BoolSpace(4)
+            alive = weakref.ref(s)
+            points = (s.var(1) | s.var(3)).enumerate_on_set()
+            del s
+            assert alive() is None
+            assert len(points) == 12
         finally:
             gc.enable()
 
