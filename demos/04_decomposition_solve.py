@@ -31,19 +31,20 @@ def show(name, text):
     print(f"== {name} ==")
     formula = parse_dimacs(text)
     result = solve(formula)
-    for i, step in enumerate(result.chain, start=1):
+    for i, step in enumerate(result.steps, start=1):
         line = f"f{i} = {step.func.format_expr(max_terms=12)}"
         if step.off_point is not None:
             off = "".join(str(b) for b in step.off_point)
             line += f"   (next projection lands on {off})"
         print(" ", line)
+        print(f"      factor size {step.factor_size}, remaining factors "
+              f"{step.remaining_before} -> {step.remaining_after} nodes")
+    final = result.final
+    print(f"  f{len(result.steps) + 1} = {final.format_expr(max_terms=12)}"
+          "   (final factor: the whole conjunction)")
     print("  verdict:", result.status.value)
     if result.status is SolveStatus.SAT:
         print("  witness:", result.witness)
-    for record in result.steps:
-        print(f"  step {record.factor_index}: factor size "
-              f"{record.factor_size}, remaining factors "
-              f"{record.remaining_before} -> {record.remaining_after} nodes")
     print()
 
 

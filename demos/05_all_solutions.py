@@ -10,7 +10,7 @@ import random
 
 from projsat import Clause, CnfFormula, parse_dimacs
 from projsat.oracle import tt_of_formula
-from projsat.solver import SolveConfig, solve
+from projsat.solver import solve
 
 TEXT = """\
 p cnf 5 6
@@ -23,16 +23,16 @@ p cnf 5 6
 """
 
 formula = parse_dimacs(TEXT)
-result = solve(formula, SolveConfig(enumerate_all=True))
+models = solve(formula).final.enumerate_on_set()
 print(f"{formula.var_count} variables, {len(formula.clauses)} clauses")
-print("models found:", len(result.all_solutions))
-for point in result.all_solutions:
+print("models found:", len(models))
+for point in models:
     print("  ", "".join(str(b) for b in point))
 
 table = tt_of_formula(formula)
 oracle = set(table.satisfying_points())
 print("oracle model count:", table.count())
-print("sets agree exactly:", set(result.all_solutions) == oracle)
+print("sets agree exactly:", set(models) == oracle)
 
 print()
 print("== the same check over random formulas ==")
@@ -46,7 +46,7 @@ for _ in range(50):
         chosen = rng.sample(range(1, n + 1), min(width, n))
         clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
     f = CnfFormula(n, [Clause.from_ints(c) for c in clauses])
-    got = solve(f, SolveConfig(enumerate_all=True))
+    got = solve(f).final.enumerate_on_set()
     want = set(tt_of_formula(f).satisfying_points())
-    agreements += set(got.all_solutions) == want
+    agreements += set(got) == want
 print(f"agreement on {agreements}/50 random instances")

@@ -4,8 +4,11 @@ and a chained-decomposition SAT solver.
 The engine gives canonical function objects, the cofactor and
 projection modules expose the interval algebra and region-pinning cube
 maps built on top of it, the solver decides CNF satisfiability by
-rewriting factors with closed-form projective cofactors, and the
-oracle cross-checks all of it against exhaustive truth tables.
+rewriting factors with closed-form projective cofactors into a final
+factor equal to the whole conjunction, and the oracle cross-checks all
+of it against exhaustive truth tables.  Witnesses and solution sets are
+read from that final factor; above the oracle's variable cap,
+solver.oracle_check compares it with the direct conjunction instead.
 """
 
 from .engine import (
@@ -41,12 +44,10 @@ from .projections import (
     verify_projection,
 )
 from .solver import (
-    ChainStep,
-    SolveConfig,
     SolveResult,
     SolveStatus,
     StepRecord,
-    projective_cofactor,
+    oracle_check,
     solve,
 )
 from .oracle import (
@@ -65,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoolFunc",
     "BoolSpace",
-    "ChainStep",
     "Clause",
     "CnfFormula",
     "CofactorInterval",
@@ -76,7 +76,6 @@ __all__ = [
     "MAX_TABLE_VARS",
     "PointRows",
     "Projection",
-    "SolveConfig",
     "SolveResult",
     "SolveStatus",
     "StepRecord",
@@ -92,11 +91,11 @@ __all__ = [
     "identity_projection",
     "index_to_point",
     "is_cofactor",
+    "oracle_check",
     "parse_dimacs",
     "point_projection",
     "point_to_index",
     "projection_for",
-    "projective_cofactor",
     "solve",
     "tt_equal",
     "tt_of_formula",

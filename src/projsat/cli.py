@@ -3,9 +3,11 @@
 Exit codes follow the SAT-competition convention: 10 for SAT, 20 for
 UNSAT, 0 for a successful --mode verify run, 1 for usage, parse, or
 runtime errors.  Human output uses 's' and 'v' lines; --json prints one
-object mirroring the SolveResult on a single line instead.  'v' lines
-are rendered from packed bit rows a block at a time, one table lookup
-per byte of eight variables.
+object mirroring the SolveResult on a single line instead.  The solver
+only decides; the solution set of --mode all and the oracle check are
+both read from its final factor here.  'v' lines are rendered from
+packed bit rows a block at a time, one table lookup per byte of eight
+variables.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cnf import CnfFormula, DimacsParseError, parse_dimacs
-from .engine import EnumerationCapError, PointRows
+from .engine import DEFAULT_ENUM_CAP, EnumerationCapError, PointRows
 from .oracle import formula_satisfied
-from .solver import SolveConfig, SolveResult, SolveStatus, solve
+from .solver import SolveResult, SolveStatus, oracle_check, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "exhaustive truth table (implied by --mode verify)")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of s/v lines")
-    parser.add_argument("--max-enum", type=int, default=None, metavar="COUNT",
+    parser.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
+                        metavar="COUNT",
                         help="point cap for --mode all (default 2^24)")
     return parser
 
@@ -74,22 +77,23 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
 
     try:
-        cfg = SolveConfig(
-            factor_order=opts.order,
-            enumerate_all=opts.mode == "all",
-            oracle_check=opts.oracle_check or opts.mode == "verify",
-        )
-        if opts.max_enum is not None:
-            cfg.enum_cap = opts.max_enum
-        result = solve(formula, cfg)
+        result = solve(formula, opts.order)
+        sat = result.status is SolveStatus.SAT
+        solutions = None
+        if opts.mode == "all":
+            solutions = (result.final.enumerate_on_set(opts.max_enum) if sat
+                         else PointRows.from_points([], formula.var_count))
+        checked = None
+        if opts.oracle_check or opts.mode == "verify":
+            checked = oracle_check(formula, result.final)
     except (EnumerationCapError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     if opts.mode == "verify":
-        return _verify(formula, result, opts)
-    _emit(result, opts)
-    return EXIT_SAT if result.status is SolveStatus.SAT else EXIT_UNSAT
+        return _verify(formula, result, checked, opts)
+    _emit(result, solutions, opts)
+    return EXIT_SAT if sat else EXIT_UNSAT
 
 
 #: Rows rendered per block of 'v' lines.
@@ -128,48 +132,73 @@ def _pin_literals(pins: dict[int, int]) -> list[int]:
     return [v + 1 if bit else -(v + 1) for v, bit in sorted(pins.items())]
 
 
-def _chain_json(result: SolveResult) -> list[dict]:
-    return [
-        {
-            "size": step.size,
-            "formula": step.func.format_expr(max_terms=32),
-            "off_point": list(step.off_point) if step.off_point is not None else None,
-            "pins": _pin_literals(step.pins) if step.pins is not None else None,
-        }
-        for step in result.chain
-    ]
+def _chain(result: SolveResult) -> list[tuple]:
+    """(factor, size, off-point, pins) per frozen factor, the final one last."""
+    final = result.final
+    return [(s.func, s.factor_size, s.off_point, s.pins) for s in result.steps] + [
+        (final, final.node_count(), None, None)]
 
 
-def _emit(result: SolveResult, opts) -> None:
+#: The StepRecord fields --json prints for each step.
+_STEP_KEYS = ("factor_index", "factor_size", "remaining_before",
+              "remaining_after", "off_point")
+
+
+def _json_object(result: SolveResult, solutions: Optional[PointRows],
+                 opts) -> dict:
+    """The SolveResult as plain data (json writes tuples as lists).
+
+    "chain" is filled in --mode trace only.
+    """
+    chain = None
+    if opts.mode == "trace":
+        chain = [
+            {
+                "size": size,
+                "formula": func.format_expr(max_terms=32),
+                "off_point": off,
+                "pins": _pin_literals(pins) if pins is not None else None,
+            }
+            for func, size, off, pins in _chain(result)
+        ]
+    return {
+        "status": result.status.value,
+        "var_count": result.final.space.var_count,
+        "witness": result.witness,
+        "all_solutions": solutions.tolist() if solutions is not None else None,
+        "steps": [{key: getattr(s, key) for key in _STEP_KEYS}
+                  for s in result.steps],
+        "chain": chain,
+    }
+
+
+def _emit(result: SolveResult, solutions: Optional[PointRows], opts) -> None:
     if opts.json:
-        data = result.to_json_dict()
-        data["chain"] = _chain_json(result) if opts.mode == "trace" else None
-        print(json.dumps(data, sort_keys=True))
+        print(json.dumps(_json_object(result, solutions, opts), sort_keys=True))
         return
     if opts.mode == "trace":
-        for lineno, step in enumerate(result.chain, start=1):
-            off = "-" if step.off_point is None else "".join(map(str, step.off_point))
-            print(f"c step {lineno}: factor size {step.size}, off-point {off}")
-            if step.pins is not None:
-                literals = "".join(f"{lit} " for lit in _pin_literals(step.pins))
+        for lineno, (_, size, off, pins) in enumerate(_chain(result), start=1):
+            off_text = "-" if off is None else "".join(map(str, off))
+            print(f"c step {lineno}: factor size {size}, off-point {off_text}")
+            if pins is not None:
+                literals = "".join(f"{lit} " for lit in _pin_literals(pins))
                 print(f"c   pins {literals}0")
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
-        if opts.mode == "all" and result.all_solutions is not None:
-            _write_witnesses(result.all_solutions)
-        elif result.witness is not None:
-            _write_witnesses(PointRows.from_points([result.witness],
-                                                   result.var_count))
+        if solutions is None:
+            solutions = PointRows.from_points([result.witness],
+                                              result.final.space.var_count)
+        _write_witnesses(solutions)
     else:
         print("s UNSATISFIABLE")
 
 
-def _verify(formula: CnfFormula, result: SolveResult, opts) -> int:
-    # solve() already compared the final factor against the exhaustive
-    # table (oracle_check is forced on for this mode) without raising.
-    checks = ["final factor agrees with the exhaustive truth table"]
+def _verify(formula: CnfFormula, result: SolveResult, checked: str,
+            opts) -> int:
+    # checked names the oracle check run() already made without raising
+    checks = [checked]
     if result.status is SolveStatus.SAT:
-        if result.witness is None or not formula_satisfied(formula, result.witness):
+        if not formula_satisfied(formula, result.witness):
             print("error: witness fails clause-by-clause evaluation",
                   file=sys.stderr)
             return EXIT_ERROR
@@ -177,18 +206,13 @@ def _verify(formula: CnfFormula, result: SolveResult, opts) -> int:
     else:
         checks.append("oracle confirms unsatisfiability")
     if opts.json:
-        payload = result.to_json_dict()
-        payload["chain"] = None
+        payload = _json_object(result, None, opts)
         payload["verified"] = checks
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in checks:
             print(f"c verified: {line}")
-        print("s SATISFIABLE" if result.status is SolveStatus.SAT
-              else "s UNSATISFIABLE")
-        if result.witness is not None:
-            _write_witnesses(PointRows.from_points([result.witness],
-                                                   result.var_count))
+        _emit(result, None, opts)
     return EXIT_OK
 
 

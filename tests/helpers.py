@@ -13,7 +13,7 @@ import numpy as np
 
 from projsat import BoolSpace, Clause, CnfFormula, Literal, clause_to_func
 from projsat.projections import projection_for
-from projsat.solver import ChainStep, StepRecord
+from projsat.solver import StepRecord
 
 TWO_VAR_UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 FOUR_VAR_SAT = "p cnf 4 3\n-1 2 4 0\n-2 3 -4 0\n1 3 -4 0\n"
@@ -126,31 +126,28 @@ def compose_path(formula: CnfFormula, space: BoolSpace, factor_order="input"):
     """The solver's loop with the general compose rewrite, as a reference.
 
     Every remaining factor is composed with the full substitution vector
-    of the step's projection.  Returns the chain and the step records in
-    the form solve() gives them; meant for formulas whose clauses are
-    all non-empty.
+    of the step's projection.  Returns the step records and the final
+    factor in the form solve() gives them; meant for formulas whose
+    clauses are all non-empty.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
     if factor_order == "size":
         live = sorted(live, key=len)
-    working = [clause_to_func(c, space) for c in live]
-    chain, steps = [], []
+    working = [clause_to_func(c, space) for c in live] or [space.true]
+    steps = []
     for i, current in enumerate(working):
-        chain.append(ChainStep(current, current.node_count()))
         if not current.is_sat() or i == len(working) - 1:
             break
         before = sum(f.node_count() for f in working[i + 1:])
         if current == space.true:
-            steps.append(StepRecord(i, 0, before, before, None))
+            steps.append(StepRecord(i, 0, before, before, None, current, None))
             continue
         target = next((f for f in working[i + 1:] if f != space.true), None)
         if target is None:
             break
         proj = projection_for(current, target)
-        chain[-1].off_point = proj.off_point
-        chain[-1].pins = projection_pins(proj)
         working[i + 1:] = [f.compose(proj.subst) for f in working[i + 1:]]
         after = sum(f.node_count() for f in working[i + 1:])
         steps.append(StepRecord(i, current.node_count(), before, after,
-                                proj.off_point))
-    return chain, steps
+                                proj.off_point, current, projection_pins(proj)))
+    return steps, current

@@ -14,10 +14,11 @@ pytest's capture) so a full run always shows the per-criterion outcome:
   5. the cofactor interval laws hold on 500 random instances each;
   6. projection composition pins intersected regions and substitution
      distributes over the connectives, 500 random instances;
-  7. the solver's closed-form rewrite gives the same factors, step
-     records, off-points, pinned cubes, witnesses and solution sets as
-     composing every remaining factor with the projection's
-     substitution, on 100 formulas.
+  7. the solver's closed-form rewrite gives the same step records
+     (frozen factors, off-points, pinned cubes), final factor and
+     witness as composing every remaining factor with the projection's
+     substitution, on 100 formulas; the solution set is read from that
+     canonically equal final factor.
 """
 
 import random
@@ -32,7 +33,7 @@ from projsat.cofactors import cofactor_interval, general_cofactor, is_cofactor
 from projsat.oracle import formula_satisfied, tt_of_formula
 from projsat.projections import (compose_projections, projection_for,
                                  verify_projection)
-from projsat.solver import SolveConfig, SolveStatus, solve
+from projsat.solver import SolveStatus, solve
 
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, clause_func, compose_path,
                      random_clause, random_cnf, random_func)
@@ -63,15 +64,15 @@ def test_01_contradiction_chain_regression(report):
         assert result.status is SolveStatus.UNSAT
         assert result.witness is None
 
-        chain = result.chain
-        space = chain[0].func.space
+        steps = result.steps
+        space = result.final.space
         x, y = space.var(0), space.var(1)
-        assert [step.func for step in chain] == [x | y, x, x & y, space.false]
-        assert [step.off_point for step in chain] == [
-            (0, 1), (1, 0), (1, 1), None]
+        assert [step.func for step in steps] == [x | y, x, x & y]
+        assert result.final == space.false
+        assert [step.off_point for step in steps] == [(0, 1), (1, 0), (1, 1)]
         # every target depends on both variables, so all of it is pinned
-        assert [step.pins for step in chain] == [
-            {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: 1}, None]
+        assert [step.pins for step in steps] == [
+            {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: 1}]
         assert elapsed < 1.0
 
 
@@ -80,30 +81,30 @@ def test_02_satisfiable_chain_regression(report):
         formula = parse_dimacs(FOUR_VAR_SAT)
         start = perf_counter()
         result = solve(formula)
-        everything = solve(formula, SolveConfig(enumerate_all=True))
+        everything = result.final.enumerate_on_set()
         elapsed = perf_counter() - start
         assert result.status is SolveStatus.SAT
 
-        chain = result.chain
-        space = chain[0].func.space
+        steps = result.steps
+        space = result.final.space
         c1, c2, c3 = (clause_to_func(c, space) for c in formula.clauses)
-        assert chain[0].func == c1
-        assert chain[1].func == c1 & c2
-        assert chain[2].func == c1 & c2 & c3
+        assert len(steps) == 2
+        assert steps[0].func == c1
+        assert steps[1].func == c1 & c2
+        assert result.final == c1 & c2 & c3
 
-        assert chain[0].off_point == (0, 1, 0, 1)
-        assert chain[0].pins == {1: 1, 2: 0, 3: 1}
+        assert steps[0].off_point == (0, 1, 0, 1)
+        assert steps[0].pins == {1: 1, 2: 0, 3: 1}
         # the first projection already leaves the third clause alone
-        first = chain[0]
+        first = steps[0]
         assert space.ite(first.func, c3, c3.restrict(first.pins)) == c3
-        assert chain[1].off_point == (0, 0, 0, 1)
-        assert chain[1].pins == {0: 0, 2: 0, 3: 1}
-        assert chain[2].off_point is None and chain[2].pins is None
+        assert steps[1].off_point == (0, 0, 0, 1)
+        assert steps[1].pins == {0: 0, 2: 0, 3: 1}
 
         assert result.witness == (0, 0, 0, 0)
         assert formula_satisfied(formula, result.witness)
         oracle = set(tt_of_formula(formula).satisfying_points())
-        assert set(everything.all_solutions) == oracle
+        assert set(everything) == oracle
         assert elapsed < 1.0
 
 
@@ -133,13 +134,14 @@ def test_04_oracle_equivalence(report):
         start = perf_counter()
         for _ in range(500):
             formula = random_cnf(rng, max_vars=10, max_clauses=25)
-            result = solve(formula, SolveConfig(enumerate_all=True))
+            result = solve(formula)
             table = tt_of_formula(formula)
             satisfiable = table.count() > 0
             assert (result.status is SolveStatus.SAT) == satisfiable
             if satisfiable:
                 assert formula_satisfied(formula, result.witness)
-            assert set(result.all_solutions) == set(table.satisfying_points())
+            solutions = result.final.enumerate_on_set()
+            assert set(solutions) == set(table.satisfying_points())
         assert perf_counter() - start < 300.0
 
 
@@ -238,9 +240,8 @@ def test_07_closed_form_equals_projection_composition(report):
         rng = random.Random(0xACC7)
         for _ in range(100):
             formula = random_cnf(rng)
-            result = solve(formula, SolveConfig(enumerate_all=True))
-            chain, steps = compose_path(formula, result.final.space)
-            assert result.chain == chain
+            result = solve(formula)
+            steps, final = compose_path(formula, result.final.space)
             assert result.steps == steps
-            assert result.witness == chain[-1].func.any_on_point()
-            assert result.all_solutions == chain[-1].func.enumerate_on_set()
+            assert result.final == final
+            assert result.witness == final.any_on_point()

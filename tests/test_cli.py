@@ -70,6 +70,24 @@ class TestExitCodes:
             assert any(line.startswith("c verified:")
                        for line in out.splitlines())
 
+    def test_verify_above_the_table_cap(self, tmp_path, capsys):
+        # above 24 variables the final factor is compared with the
+        # direct conjunction of the clauses instead of a truth table
+        for n in (30, 300):
+            formula, model = implication_chain(n, random.Random(n))
+            code, out, err = run_cli(["--mode", "verify"],
+                                     cnf=emit_dimacs(formula),
+                                     tmp_path=tmp_path, capsys=capsys)
+            assert (code, err) == (EXIT_OK, "")
+            lines = out.splitlines()
+            assert lines[0] == ("c verified: final factor equals the direct "
+                                "conjunction of the clauses")
+            assert lines[-2] == "s SATISFIABLE"
+            assert parse_witness_line(lines[-1]) == model
+            code, _, _ = run_cli(["--oracle-check"], cnf=emit_dimacs(formula),
+                                 tmp_path=tmp_path, capsys=capsys)
+            assert code == EXIT_SAT
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["--input", "/no/such/file.cnf"],
                                capsys=capsys)
@@ -155,6 +173,34 @@ class TestJsonOutput:
         assert len(out.splitlines()) == 1
         points = tt_of_formula(parse_dimacs(FOUR_VAR_SAT)).satisfying_points()
         assert json.loads(out)["all_solutions"] == [list(p) for p in points]
+
+    def test_json_dict_shape(self, tmp_path, capsys):
+        code, out, _ = run_cli(["--json", "--mode", "all"], cnf=FOUR_VAR_SAT,
+                               tmp_path=tmp_path, capsys=capsys)
+        assert code == EXIT_SAT
+        data = json.loads(out)
+        assert set(data) == {"status", "var_count", "witness",
+                             "all_solutions", "steps", "chain"}
+        assert data["status"] == "SAT"
+        assert data["var_count"] == 4
+        assert isinstance(data["witness"], list)
+        assert isinstance(data["all_solutions"], list)
+        assert data["chain"] is None
+        assert data["steps"]
+        for step in data["steps"]:
+            assert set(step) == {"factor_index", "factor_size",
+                                 "remaining_before", "remaining_after",
+                                 "off_point"}
+
+    def test_json_dict_unsat(self, tmp_path, capsys):
+        code, out, _ = run_cli(["--json", "--mode", "all"], cnf=TWO_VAR_UNSAT,
+                               tmp_path=tmp_path, capsys=capsys)
+        assert code == EXIT_UNSAT
+        data = json.loads(out)
+        assert data["status"] == "UNSAT"
+        assert data["witness"] is None
+        assert data["all_solutions"] == []
+        assert data["chain"] is None
 
     def test_verify_json_lists_checks(self, tmp_path, capsys):
         code, out, _ = run_cli(["--json", "--mode", "verify"],

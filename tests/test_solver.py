@@ -1,7 +1,6 @@
 """Projective-cofactor composition laws and the chained solver."""
 
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -10,15 +9,14 @@ from projsat import (
     Clause,
     CnfFormula,
     EnumerationCapError,
-    SolveConfig,
-    SolveResult,
     SolveStatus,
     clause_to_func,
     formula_to_func,
+    oracle_check,
     parse_dimacs,
     projection_for,
-    projective_cofactor,
     solve,
+    verify_projection,
 )
 from projsat.oracle import tt_of_formula
 
@@ -50,20 +48,19 @@ class TestProjectiveCofactor:
             fixed, target = fresh_pair(s, rng)
             proj = projection_for(fixed, target)
             f, _ = random_func(s, rng)
-            assert projective_cofactor(f, fixed, proj) == f.compose(proj.subst)
+            assert proj.apply_to(f) == f.compose(proj.subst)
 
     def test_verify_flag_accepts_valid(self):
         s = BoolSpace(3)
         fixed, target = s.var(0), s.var(1)
         proj = projection_for(fixed, target)
-        got = projective_cofactor(target, fixed, proj, verify=True)
-        assert got == (fixed & target)
+        assert verify_projection(proj, fixed, target)
+        assert proj.apply_to(target) == (fixed & target)
 
     def test_verify_flag_rejects_mismatched_region(self):
         s = BoolSpace(3)
         proj = projection_for(s.var(0), s.var(1))
-        with pytest.raises(ValueError, match="pin"):
-            projective_cofactor(s.var(1), s.var(2), proj, verify=True)
+        assert not verify_projection(proj, s.var(2), proj.target)
 
     def test_result_is_cofactor_of_composed_function(self):
         # any function composed with the map agrees with itself on the
@@ -75,7 +72,7 @@ class TestProjectiveCofactor:
             fixed, target = fresh_pair(s, rng)
             proj = projection_for(fixed, target)
             w, _ = random_func(s, rng)
-            image = projective_cofactor(w, fixed, proj)
+            image = proj.apply_to(w)
             assert is_cofactor(image, w, fixed)
             assert image in cofactor_interval(w, fixed)
 
@@ -86,7 +83,7 @@ class TestProjectiveCofactor:
         for _ in range(200):
             fixed, target = fresh_pair(s, rng)
             proj = projection_for(fixed, target)
-            assert projective_cofactor(target, fixed, proj) == (fixed & target)
+            assert proj.apply_to(target) == (fixed & target)
 
     def test_bounded_function_unchanged(self):
         # when the map's target is the composed function itself, a
@@ -101,7 +98,7 @@ class TestProjectiveCofactor:
             if under == s.true:
                 continue
             proj = projection_for(fixed, under)
-            assert projective_cofactor(under, fixed, proj) == under
+            assert proj.apply_to(under) == under
             done += 1
 
     def test_disjoint_function_vanishes(self):
@@ -115,7 +112,7 @@ class TestProjectiveCofactor:
             if apart == s.true:
                 continue
             proj = projection_for(fixed, apart)
-            assert projective_cofactor(apart, fixed, proj) == s.false
+            assert proj.apply_to(apart) == s.false
             done += 1
 
     def test_target_image_below_target(self):
@@ -124,7 +121,7 @@ class TestProjectiveCofactor:
         for _ in range(100):
             fixed, target = fresh_pair(s, rng)
             proj = projection_for(fixed, target)
-            assert projective_cofactor(target, fixed, proj) <= target
+            assert proj.apply_to(target) <= target
 
     def test_homomorphism_laws(self):
         rng = random.Random(107)
@@ -134,11 +131,11 @@ class TestProjectiveCofactor:
             proj = projection_for(fixed, target)
             a, _ = random_func(s, rng)
             b, _ = random_func(s, rng)
-            za = projective_cofactor(a, fixed, proj)
-            zb = projective_cofactor(b, fixed, proj)
-            assert projective_cofactor(a & b, fixed, proj) == (za & zb)
-            assert projective_cofactor(a | b, fixed, proj) == (za | zb)
-            assert projective_cofactor(~a, fixed, proj) == ~za
+            za = proj.apply_to(a)
+            zb = proj.apply_to(b)
+            assert proj.apply_to(a & b) == (za & zb)
+            assert proj.apply_to(a | b) == (za | zb)
+            assert proj.apply_to(~a) == ~za
 
 
 class TestSatPreservation:
@@ -152,13 +149,13 @@ class TestSatPreservation:
             if target == s.true:
                 continue
             proj = projection_for(fixed, target)
-            assert (fixed & target) == projective_cofactor(target, fixed, proj)
+            assert (fixed & target) == proj.apply_to(target)
 
     def test_full_region_identity(self):
         s = BoolSpace(3)
         h = s.var(0) | s.var(1)
         proj = projection_for(s.true, h)
-        assert (s.true & h) == projective_cofactor(h, s.true, proj)
+        assert (s.true & h) == proj.apply_to(h)
 
 
 def sat_points(formula):
@@ -179,27 +176,28 @@ class TestSolveBasics:
         assert all(c.satisfied_by(res.witness) for c in formula.clauses)
 
     def test_empty_formula(self):
-        res = solve(CnfFormula(3, []), SolveConfig(enumerate_all=True))
+        res = solve(CnfFormula(3, []))
         assert res.status is SolveStatus.SAT
         assert res.witness == (0, 0, 0)
-        assert len(res.all_solutions) == 8
+        assert len(res.final.enumerate_on_set()) == 8
 
     def test_empty_clause_immediate_unsat(self):
         res = solve(CnfFormula(2, [Clause.from_ints([1]), Clause.from_ints([])]))
         assert res.status is SolveStatus.UNSAT
         assert res.steps == []
+        assert res.final == res.final.space.false
 
     def test_tautologies_only(self):
         res = solve(CnfFormula(2, [Clause.from_ints([1, -1])]))
         assert res.status is SolveStatus.SAT
-        assert res.chain[-1].func == res.chain[-1].func.space.true
+        assert res.steps == []
+        assert res.final == res.final.space.true
 
     def test_single_clause(self):
         formula = CnfFormula(3, [Clause.from_ints([1, -3])])
-        chain = solve(formula).chain
-        assert len(chain) == 1
-        s = chain[0].func.space
-        assert chain[0].func == clause_to_func(formula.clauses[0], s)
+        res = solve(formula)
+        assert res.steps == []
+        assert res.final == clause_to_func(formula.clauses[0], res.final.space)
 
     def test_witness_is_lex_smallest_solution(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
@@ -208,17 +206,17 @@ class TestSolveBasics:
 
     def test_all_solutions_exact(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
-        res = solve(formula, SolveConfig(enumerate_all=True))
-        assert res.all_solutions == sat_points(formula)
+        res = solve(formula)
+        assert res.final.enumerate_on_set() == sat_points(formula)
 
     def test_enumeration_cap_respected(self):
         formula = CnfFormula(4, [Clause.from_ints([1, 2])])
         with pytest.raises(EnumerationCapError):
-            solve(formula, SolveConfig(enumerate_all=True, enum_cap=3))
+            solve(formula).final.enumerate_on_set(3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="factor_order"):
-            SolveConfig(factor_order="widest")
+            solve(parse_dimacs(FOUR_VAR_SAT), factor_order="widest")
 
 
 class TestSoundnessRegression:
@@ -236,8 +234,9 @@ class TestSoundnessRegression:
     def test_escaped_factor_instance_is_unsat(self):
         formula = self.brittle_formula()
         assert tt_of_formula(formula).count() == 0
-        res = solve(formula, SolveConfig(oracle_check=True))
+        res = solve(formula)
         assert res.status is SolveStatus.UNSAT
+        oracle_check(formula, res.final)
 
     def test_mid_run_tautology_is_skipped_and_harmless(self):
         # in the same instance the third factor reduces to constant 1:
@@ -245,9 +244,12 @@ class TestSoundnessRegression:
         # projection target
         formula = self.brittle_formula()
         res = solve(formula)
-        s = res.chain[0].func.space
-        assert any(step.func == s.true for step in res.chain)
-        assert res.chain[-1].func == s.false
+        s = res.final.space
+        skipped = [step for step in res.steps if step.func == s.true]
+        assert skipped
+        assert all(step.off_point is None and step.pins is None
+                   for step in skipped)
+        assert res.final == s.false
 
     def test_all_remaining_factors_tautological(self):
         # after one step only a constant-1 factor is left, so the run
@@ -257,15 +259,17 @@ class TestSoundnessRegression:
             Clause.from_ints([2]),
             Clause.from_ints([1, -2]),
         ])
-        res = solve(formula, SolveConfig(enumerate_all=True, oracle_check=True))
+        res = solve(formula)
+        oracle_check(formula, res.final)
         assert res.status is SolveStatus.SAT
-        assert res.all_solutions == [(1, 1)]
+        assert res.final.enumerate_on_set() == [(1, 1)]
 
     def test_random_instances_with_oracle_check(self):
         rng = random.Random(109)
         for _ in range(60):
             formula = random_cnf(rng, max_vars=8, max_clauses=16)
-            res = solve(formula, SolveConfig(oracle_check=True))
+            res = solve(formula)
+            oracle_check(formula, res.final)
             want = tt_of_formula(formula).count() > 0
             assert (res.status is SolveStatus.SAT) == want
 
@@ -275,7 +279,7 @@ class TestSolveAgainstOracle:
         rng = random.Random(110)
         for _ in range(80):
             formula = random_cnf(rng, max_vars=9, max_clauses=20)
-            res = solve(formula, SolveConfig(enumerate_all=True))
+            res = solve(formula)
             points = sat_points(formula)
             if points:
                 assert res.status is SolveStatus.SAT
@@ -285,13 +289,13 @@ class TestSolveAgainstOracle:
             else:
                 assert res.status is SolveStatus.UNSAT
                 assert res.witness is None
-            assert res.all_solutions == points
+            assert res.final.enumerate_on_set() == points
 
     def test_final_factor_equals_conjunction(self):
         rng = random.Random(111)
         for _ in range(60):
             formula = random_cnf(rng, max_vars=8, max_clauses=14)
-            final = solve(formula).chain[-1].func
+            final = solve(formula).final
             direct = formula_to_func(formula, final.space)
             assert final == direct
 
@@ -299,9 +303,8 @@ class TestSolveAgainstOracle:
         rng = random.Random(112)
         for _ in range(40):
             formula = random_cnf(rng, max_vars=8, max_clauses=14)
-            res = solve(formula, SolveConfig(factor_order="size",
-                                             enumerate_all=True))
-            assert res.all_solutions == sat_points(formula)
+            res = solve(formula, factor_order="size")
+            assert res.final.enumerate_on_set() == sat_points(formula)
 
     def test_size_order_freezes_ascending_widths(self):
         formula = CnfFormula(3, [
@@ -311,9 +314,9 @@ class TestSolveAgainstOracle:
         ])
         res = solve(formula)
         sizes_input = [step.factor_size for step in res.steps]
-        res_sorted = solve(formula, SolveConfig(factor_order="size"))
-        s = res_sorted.chain[0].func.space
-        assert res_sorted.chain[0].func == clause_to_func(formula.clauses[1], s)
+        res_sorted = solve(formula, factor_order="size")
+        s = res_sorted.final.space
+        assert res_sorted.steps[0].func == clause_to_func(formula.clauses[1], s)
         assert sizes_input != [] and res.status is res_sorted.status
 
 
@@ -340,10 +343,10 @@ class TestClosedFormRewrite:
             cases.append((random_cnf(rng, max_vars=9, max_clauses=30,
                                      min_vars=6), "size"))
         for formula, order in cases:
-            res = solve(formula, SolveConfig(factor_order=order))
-            chain, steps = compose_path(formula, res.final.space, order)
-            assert res.chain == chain
+            res = solve(formula, factor_order=order)
+            steps, final = compose_path(formula, res.final.space, order)
             assert res.steps == steps
+            assert res.final == final
 
     def test_long_chain_final_factor_equals_conjunction(self):
         # 300 variables, above the oracle's cap: checked against direct
@@ -361,7 +364,9 @@ class TestParallel:
         first = solve(formula)
         second = solve(formula)
         assert first.witness == second.witness
-        assert [c.size for c in first.chain] == [c.size for c in second.chain]
+        assert ([s.factor_size for s in first.steps]
+                == [s.factor_size for s in second.steps])
+        assert first.final.node_count() == second.final.node_count()
 
 
 class TestRecords:
@@ -377,41 +382,45 @@ class TestRecords:
     def test_chain_records_off_points_and_pins(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
         res = solve(formula)
-        chain = res.chain
-        assert all(entry.off_point is not None for entry in chain[:-1])
-        assert chain[-1].off_point is None and chain[-1].pins is None
-        for entry, after, record in zip(chain, chain[1:], res.steps):
-            assert entry.off_point == record.off_point
-            assert entry.pins == {v: entry.off_point[v] for v in entry.pins}
+        assert all(step.off_point is not None for step in res.steps)
+        funcs = [step.func for step in res.steps] + [res.final]
+        for step, after in zip(res.steps, funcs[1:]):
+            assert step.pins == {v: step.off_point[v] for v in step.pins}
             # here each target is the next factor, whose reduced form
             # vanishes on the pinned cube
-            assert after.func.restrict(entry.pins) == res.final.space.false
+            assert after.restrict(step.pins) == res.final.space.false
 
     def test_every_solve_returns_the_chain(self):
-        configs = [SolveConfig(), SolveConfig(factor_order="size"),
-                   SolveConfig(enumerate_all=True, oracle_check=True)]
+        # the chain is the step records plus the final factor, from
+        # which the verdict and the witness are read
         for text in (TWO_VAR_UNSAT, FOUR_VAR_SAT):
-            for cfg in configs:
-                res = solve(parse_dimacs(text), cfg)
-                assert res.chain[-1].func == res.final
-                assert len(res.chain) == len(res.steps) + 1
+            for order in ("input", "size"):
+                res = solve(parse_dimacs(text), factor_order=order)
+                assert [step.factor_index for step in res.steps] == list(
+                    range(len(res.steps)))
+                assert (res.status is SolveStatus.SAT) == res.final.is_sat()
+                assert res.witness == res.final.any_on_point()
 
-    def test_json_dict_shape(self):
-        res = solve(parse_dimacs(FOUR_VAR_SAT), SolveConfig(enumerate_all=True))
-        data = res.to_json_dict()
-        assert data["status"] == "SAT"
-        assert data["var_count"] == 4
-        assert isinstance(data["witness"], list)
-        assert isinstance(data["all_solutions"], list)
-        assert "chain" not in data
-        for step in data["steps"]:
-            assert set(step) == {"factor_index", "factor_size",
-                                 "remaining_before", "remaining_after",
-                                 "off_point"}
 
-    def test_json_dict_unsat(self):
-        res = solve(parse_dimacs(TWO_VAR_UNSAT))
-        data = res.to_json_dict()
-        assert data["status"] == "UNSAT"
-        assert data["witness"] is None
-        assert "chain" not in data
+class TestOracleCheck:
+    def test_names_the_table_check_up_to_the_cap(self):
+        formula = parse_dimacs(FOUR_VAR_SAT)
+        checked = oracle_check(formula, solve(formula).final)
+        assert "truth table" in checked
+
+    def test_canonical_equality_above_the_cap(self):
+        for n in (30, 300):
+            formula, _ = implication_chain(n, random.Random(n))
+            checked = oracle_check(formula, solve(formula).final)
+            assert "direct conjunction" in checked
+
+    def test_wrong_final_raises_below_and_above_the_cap(self):
+        for n in (12, 30):
+            formula, _ = implication_chain(n, random.Random(n))
+            final = solve(formula).final
+            wrong = final | final.space.var(0)
+            assert wrong != final
+            with pytest.raises(RuntimeError):
+                oracle_check(formula, wrong)
+            with pytest.raises(RuntimeError):
+                oracle_check(formula, final.space.false)
