@@ -5,9 +5,9 @@ UNSAT, 0 for a successful --mode verify run, 1 for usage, parse, or
 runtime errors.  Human output uses 's' and 'v' lines; --json prints one
 object mirroring the SolveResult on a single line instead.  The solver
 only decides; the solution set of --mode all and the oracle check are
-both read from its final factor here.  'v' lines are rendered from
-packed bit rows a block at a time, one table lookup per byte of eight
-variables.
+both read from its final factor here.  Every 'v' line, the single
+witness included, is the all-negative line 'v -1 -2 ... -n 0' with the
+'-' of each true variable masked out, a block of packed rows at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, DimacsParseError, parse_dimacs
+from .cnf import DimacsParseError, parse_dimacs
 from .engine import DEFAULT_ENUM_CAP, EnumerationCapError, PointRows
 from .oracle import formula_satisfied
 from .solver import SolveResult, SolveStatus, oracle_check, solve
@@ -83,48 +83,47 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if opts.mode == "all":
             solutions = (result.final.enumerate_on_set(opts.max_enum) if sat
                          else PointRows.from_points([], formula.var_count))
-        checked = None
+        checks = None
         if opts.oracle_check or opts.mode == "verify":
-            checked = oracle_check(formula, result.final)
+            checks = [oracle_check(formula, result.final)]
     except (EnumerationCapError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if opts.mode == "verify":
-        return _verify(formula, result, checked, opts)
-    _emit(result, solutions, opts)
-    return EXIT_SAT if sat else EXIT_UNSAT
+    if opts.mode != "verify":
+        _emit(result, solutions, None, opts)
+        return EXIT_SAT if sat else EXIT_UNSAT
+    if sat and not formula_satisfied(formula, result.witness):
+        print("error: witness fails clause-by-clause evaluation",
+              file=sys.stderr)
+        return EXIT_ERROR
+    checks.append("witness satisfies every clause" if sat
+                  else "oracle confirms unsatisfiability")
+    _emit(result, solutions, checks, opts)
+    return EXIT_OK
 
 
 #: Rows rendered per block of 'v' lines.
 _BLOCK_ROWS = 1 << 14
 
 
-def _byte_literals(value: int, first: int, var_count: int) -> str:
-    """Literals of the variables one packed byte holds, x_first in its high bit."""
-    names = range(first, min(first + 8, var_count + 1))
-    return "".join(f"{var} " if (value >> (7 - bit)) & 1 else f"-{var} "
-                   for bit, var in enumerate(names))
-
-
 def _write_witnesses(points: PointRows) -> None:
-    """One 'v' line per point, rendered from the packed rows.
+    """One 'v' line per point, masked from the all-negative line.
 
-    A block of rows is keyed by column * 256 + byte value, and literal
-    strings are built only for the keys present, so a single line costs
-    O(n); numpy object arrays then join each row's column strings.
+    The line 'v -1 -2 ... -n 0' is built once as bytes; a point's line
+    is that template less the '-' of every variable the point sets to 1.
     """
-    rows, var_count = points.rows, points.var_count
-    offsets = 256 * np.arange(rows.shape[1])
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        keys = rows[start:start + _BLOCK_ROWS] + offsets
-        table = np.empty(offsets.size * 256, dtype=object)
-        present = np.flatnonzero(np.bincount(keys.ravel(), minlength=table.size))
-        table[present] = [_byte_literals(key & 255, 8 * (key >> 8) + 1, var_count)
-                          for key in present.tolist()]
-        lines = np.add.reduce(table[keys], axis=1, initial="v ")
-        lines += "0\n"
-        sys.stdout.write("".join(lines.tolist()))
+    var_count = points.var_count
+    line = "v " + "".join(f"-{var} " for var in range(1, var_count + 1)) + "0\n"
+    template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    signs = np.flatnonzero(template == ord("-"))
+    for start in range(0, len(points), _BLOCK_ROWS):
+        bits = np.unpackbits(points.rows[start:start + _BLOCK_ROWS], axis=1,
+                             count=var_count)
+        keep = np.ones((len(bits), template.size), dtype=bool)
+        keep[:, signs] = bits == 0
+        lines = np.tile(template, (len(bits), 1))[keep]
+        sys.stdout.write(lines.tobytes().decode("ascii"))
 
 
 def _pin_literals(pins: dict[int, int]) -> list[int]:
@@ -172,10 +171,17 @@ def _json_object(result: SolveResult, solutions: Optional[PointRows],
     }
 
 
-def _emit(result: SolveResult, solutions: Optional[PointRows], opts) -> None:
+def _emit(result: SolveResult, solutions: Optional[PointRows],
+          checks: Optional[list[str]], opts) -> None:
+    """Print the answer; checks are the --mode verify checks that passed."""
     if opts.json:
-        print(json.dumps(_json_object(result, solutions, opts), sort_keys=True))
+        payload = _json_object(result, solutions, opts)
+        if checks is not None:
+            payload["verified"] = checks
+        print(json.dumps(payload, sort_keys=True))
         return
+    for line in checks or ():
+        print(f"c verified: {line}")
     if opts.mode == "trace":
         for lineno, (_, size, off, pins) in enumerate(_chain(result), start=1):
             off_text = "-" if off is None else "".join(map(str, off))
@@ -191,29 +197,6 @@ def _emit(result: SolveResult, solutions: Optional[PointRows], opts) -> None:
         _write_witnesses(solutions)
     else:
         print("s UNSATISFIABLE")
-
-
-def _verify(formula: CnfFormula, result: SolveResult, checked: str,
-            opts) -> int:
-    # checked names the oracle check run() already made without raising
-    checks = [checked]
-    if result.status is SolveStatus.SAT:
-        if not formula_satisfied(formula, result.witness):
-            print("error: witness fails clause-by-clause evaluation",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        checks.append("witness satisfies every clause")
-    else:
-        checks.append("oracle confirms unsatisfiability")
-    if opts.json:
-        payload = _json_object(result, None, opts)
-        payload["verified"] = checks
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in checks:
-            print(f"c verified: {line}")
-        _emit(result, None, opts)
-    return EXIT_OK
 
 
 def main() -> None:

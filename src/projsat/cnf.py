@@ -95,11 +95,17 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> CnfFormula:
     LF or CRLF.  Comment lines start with 'c', the single header line
     is 'p cnf <vars> <clauses>', and clauses are 0-terminated integer
     runs that may span lines.  A clause count differing from the
-    header is reported as a warning, not an error.
+    header is reported as a warning, not an error; input that is not
+    UTF-8 raises DimacsParseError.
     """
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+    try:
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DimacsParseError(
+            f"byte {exc.object[exc.start]:#04x} at offset {exc.start} "
+            "is not UTF-8") from None
 
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []

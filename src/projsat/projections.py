@@ -121,14 +121,13 @@ def verify_projection(proj: Projection, fixed: BoolFunc,
     return True
 
 
-def compose_projections(outer: Projection, inner: Projection, *,
-                        verify: bool = False) -> Projection:
+def compose_projections(outer: Projection, inner: Projection) -> Projection:
     """The map that applies ``inner`` first, then ``outer``.
 
     When both inputs pin regions for the same target, the result pins
     the intersection of the regions for that target.  A provenance
     target mismatch only raises a warning, since the requirements are
-    about behavior; pass verify=True to re-check the invariants of the
+    about behavior; verify_projection re-checks the invariants of the
     result symbolically (quadratic in representation size).
     """
     if len(outer.subst) != len(inner.subst):
@@ -146,8 +145,4 @@ def compose_projections(outer: Projection, inner: Projection, *,
         target = inner.target
     else:
         target = outer.target
-    composed = Projection(subst, fixed, target, None)
-    if verify and fixed is not None and target is not None:
-        if not verify_projection(composed, fixed, target):
-            raise ValueError("composition violates the projection requirements")
-    return composed
+    return Projection(subst, fixed, target, None)

@@ -84,8 +84,8 @@ def implication_chain(n: int, rng: random.Random):
 def reference_v_lines(points, var_count: int) -> str:
     """The 'v' lines of the points, built literal by literal.
 
-    The reference that the CLI's byte-table renderer must match byte
-    for byte.
+    The reference that the CLI's masked renderer must match byte for
+    byte.
     """
     literals = [(f"-{i} ", f"{i} ") for i in range(1, var_count + 1)]
     return "".join("v " + "".join(map(getitem, literals, point)) + "0\n"

@@ -97,6 +97,13 @@ class TestParse:
         f = parse_dimacs("p cnf 2 1\n0\n")
         assert len(f.clauses[0]) == 0
 
+    def test_non_utf8_input(self):
+        data = b"c caf\xff\np cnf 1 1\n1 0\n"
+        for source in (data, io.BytesIO(data),
+                       io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            with pytest.raises(DimacsParseError, match="byte 0xff at offset 5"):
+                parse_dimacs(source)
+
     def test_missing_header(self):
         with pytest.raises(DimacsParseError, match="header"):
             parse_dimacs("1 -2 0\n")

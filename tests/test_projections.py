@@ -277,9 +277,10 @@ class TestCompose:
         h = s.var(2)
         p1 = projection_for(g1, h)
         p2 = projection_for(g2, h)
-        combo = compose_projections(p1, p2, verify=True)
+        combo = compose_projections(p1, p2)
         assert combo.fixed == (g1 & g2)
         assert combo.target == h
+        assert verify_projection(combo, g1 & g2, h)
 
     def test_associativity(self):
         rng = random.Random(90)
