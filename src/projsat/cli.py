@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit one JSON object instead of s/v lines")
     parser.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
                         metavar="COUNT",
-                        help="point cap for --mode all (default 2^24)")
+                        help="model cap for --mode all (default 2^24)")
     return parser
 
 

@@ -12,14 +12,13 @@ by one numpy descent over the function's nodes, level by level.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping, Sequence
 from operator import eq
 from typing import Optional, Union
 
 import numpy as np
 
-#: Default ceiling on the number of points an enumeration may visit.
+#: Default ceiling on the number of models an enumeration may return.
 DEFAULT_ENUM_CAP = 1 << 24
 
 _FALSE = 0
@@ -27,7 +26,7 @@ _TRUE = 1
 
 
 class EnumerationCapError(ValueError):
-    """An on-set enumeration would exceed the configured point cap."""
+    """An on-set enumeration would exceed the configured model cap."""
 
 
 #: Rows unpacked at a time when a PointRows view is iterated.
@@ -94,9 +93,14 @@ class BoolSpace:
     """Manages all Boolean functions over one ordered variable set.
 
     The variable order is fixed at construction, either as a count
-    (names default to x1..xn) or as an explicit name sequence.  Node
-    creation is serialized behind a lock, so a space may be shared by
-    several threads; the functions themselves are immutable.
+    (names default to x1..xn) or as an explicit name sequence.  A space
+    is for one thread: nothing in it is locked, and separate spaces
+    share no state.  The functions themselves are immutable.
+
+    Table convention: ``_nodes[h]`` is the row ``(level, lo, hi)`` of
+    handle h.  The constants 0 and 1 are rows 0 and 1, ``(n, 0, 0)``
+    and ``(n, 1, 1)``: each is its own child at level n, below every
+    variable.  Decision nodes follow from handle 2 on.
     """
 
     def __init__(self, variables: Union[int, Sequence[str]]):
@@ -110,11 +114,11 @@ class BoolSpace:
             raise ValueError("duplicate variable name")
         self._names = names
         self._name_index = {name: i for i, name in enumerate(names)}
-        # handles 0 and 1 are the constants; node k lives at _nodes[k - 2]
-        self._nodes: list[tuple[int, int, int]] = []
+        n = len(names)
+        self._nodes: list[tuple[int, int, int]] = [(n, _FALSE, _FALSE),
+                                                   (n, _TRUE, _TRUE)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self._lock = threading.RLock()
 
     @property
     def var_count(self) -> int:
@@ -142,8 +146,7 @@ class BoolSpace:
         """The projection function of the variable at ``index``."""
         if not 0 <= index < len(self._names):
             raise ValueError(f"variable index {index} out of range")
-        with self._lock:
-            return BoolFunc(self, self._mk(index, _FALSE, _TRUE))
+        return BoolFunc(self, self._mk(index, _FALSE, _TRUE))
 
     def named(self, name: str) -> "BoolFunc":
         """Like :meth:`var`, addressed by variable name."""
@@ -163,9 +166,8 @@ class BoolSpace:
         self._check(cond)
         self._check(when_true)
         self._check(when_false)
-        with self._lock:
-            return BoolFunc(self, self._ite(cond._handle, when_true._handle,
-                                            when_false._handle))
+        return BoolFunc(self, self._ite(cond._handle, when_true._handle,
+                                        when_false._handle))
 
     # -- internals ------------------------------------------------------
 
@@ -175,27 +177,16 @@ class BoolSpace:
         if func.space is not self:
             raise ValueError("functions belong to different spaces")
 
-    def _level(self, handle: int) -> int:
-        # constants sort below every variable level
-        return self._nodes[handle - 2][0] if handle >= 2 else len(self._names)
-
     def _mk(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
         key = (level, lo, hi)
         handle = self._unique.get(key)
         if handle is None:
+            handle = len(self._nodes)
             self._nodes.append(key)
-            handle = len(self._nodes) + 1
             self._unique[key] = handle
         return handle
-
-    def _branches(self, handle: int, level: int) -> tuple[int, int]:
-        if handle >= 2:
-            node_level, lo, hi = self._nodes[handle - 2]
-            if node_level == level:
-                return lo, hi
-        return handle, handle
 
     def _ite(self, cond: int, yes: int, no: int) -> int:
         if cond == _TRUE:
@@ -210,10 +201,18 @@ class BoolSpace:
         hit = self._ite_cache.get(key)
         if hit is not None:
             return hit
-        level = min(self._level(cond), self._level(yes), self._level(no))
-        c_lo, c_hi = self._branches(cond, level)
-        y_lo, y_hi = self._branches(yes, level)
-        n_lo, n_hi = self._branches(no, level)
+        nodes = self._nodes
+        c_var, c_lo, c_hi = nodes[cond]
+        y_var, y_lo, y_hi = nodes[yes]
+        n_var, n_lo, n_hi = nodes[no]
+        # an operand that does not test the top variable is its own branch
+        level = min(c_var, y_var, n_var)
+        if c_var != level:
+            c_lo = c_hi = cond
+        if y_var != level:
+            y_lo = y_hi = yes
+        if n_var != level:
+            n_lo = n_hi = no
         result = self._mk(level,
                           self._ite(c_lo, y_lo, n_lo),
                           self._ite(c_hi, y_hi, n_hi))
@@ -243,34 +242,29 @@ class BoolFunc:
     def __and__(self, other: "BoolFunc") -> "BoolFunc":
         space = self.space
         space._check(other)
-        with space._lock:
-            return BoolFunc(space, space._ite(self._handle, other._handle, _FALSE))
+        return BoolFunc(space, space._ite(self._handle, other._handle, _FALSE))
 
     def __or__(self, other: "BoolFunc") -> "BoolFunc":
         space = self.space
         space._check(other)
-        with space._lock:
-            return BoolFunc(space, space._ite(self._handle, _TRUE, other._handle))
+        return BoolFunc(space, space._ite(self._handle, _TRUE, other._handle))
 
     def __xor__(self, other: "BoolFunc") -> "BoolFunc":
         space = self.space
         space._check(other)
-        with space._lock:
-            flipped = space._ite(other._handle, _FALSE, _TRUE)
-            return BoolFunc(space, space._ite(self._handle, flipped, other._handle))
+        flipped = space._ite(other._handle, _FALSE, _TRUE)
+        return BoolFunc(space, space._ite(self._handle, flipped, other._handle))
 
     def __invert__(self) -> "BoolFunc":
         space = self.space
-        with space._lock:
-            return BoolFunc(space, space._ite(self._handle, _FALSE, _TRUE))
+        return BoolFunc(space, space._ite(self._handle, _FALSE, _TRUE))
 
     def implies(self, other: "BoolFunc") -> bool:
         """True when this function is pointwise at most ``other``."""
         space = self.space
         space._check(other)
-        with space._lock:
-            flipped = space._ite(other._handle, _FALSE, _TRUE)
-            return space._ite(self._handle, flipped, _FALSE) == _FALSE
+        flipped = space._ite(other._handle, _FALSE, _TRUE)
+        return space._ite(self._handle, flipped, _FALSE) == _FALSE
 
     def __le__(self, other: "BoolFunc") -> bool:
         return self.implies(other)
@@ -300,7 +294,7 @@ class BoolFunc:
         nodes = self.space._nodes
         handle = self._handle
         while handle >= 2:
-            level, lo, hi = nodes[handle - 2]
+            level, lo, hi = nodes[handle]
             handle = hi if point[level] else lo
         return handle
 
@@ -325,7 +319,7 @@ class BoolFunc:
         point = [0] * self.space.var_count
         handle = self._handle
         while handle >= 2:
-            level, lo, hi = nodes[handle - 2]
+            level, lo, hi = nodes[handle]
             if lo == away:
                 point[level] = 1
                 handle = hi
@@ -343,7 +337,7 @@ class BoolFunc:
             if handle < 2 or handle in seen:
                 continue
             seen.add(handle)
-            _, lo, hi = nodes[handle - 2]
+            _, lo, hi = nodes[handle]
             stack.append(lo)
             stack.append(hi)
         return seen
@@ -351,7 +345,7 @@ class BoolFunc:
     def support(self) -> frozenset[int]:
         """Indices of the variables the function actually depends on."""
         nodes = self.space._nodes
-        return frozenset(nodes[handle - 2][0] for handle in self._reachable())
+        return frozenset(nodes[handle][0] for handle in self._reachable())
 
     def node_count(self) -> int:
         """Number of decision nodes in the representation (constants: 0)."""
@@ -360,16 +354,15 @@ class BoolFunc:
     def _node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The reachable graph as compact int32 arrays for numpy descents.
 
-        Returns ``(level, lo, hi, root)``.  Compact ids follow the sorted
-        handles, so the constants keep ids 0 and 1; they sit at level n
-        and are their own children.
+        Returns ``(level, lo, hi, root)``: the rows of the constants and
+        of the reachable nodes, in the table convention of
+        :class:`BoolSpace`, renumbered by sorted handle.
         """
-        n = self.space.var_count
         nodes = self.space._nodes
-        inner = sorted(self._reachable())
-        handles = np.array([0, 1] + inner, dtype=np.int32)
-        rows = [(n, 0, 0), (n, 1, 1)] + [nodes[h - 2] for h in inner]
-        level, lo, hi = np.array(rows, dtype=np.int32).T.copy()
+        handles = np.array([_FALSE, _TRUE] + sorted(self._reachable()),
+                           dtype=np.int32)
+        level, lo, hi = np.array([nodes[h] for h in handles.tolist()],
+                                 dtype=np.int32).T.copy()
         # a node's compact id is its position in the sorted handle array
         lo, hi = np.searchsorted(handles, (lo, hi)).astype(np.int32)
         root = int(np.searchsorted(handles, self._handle))
@@ -385,17 +378,17 @@ class BoolFunc:
         surviving prefix extends to a model, so no level holds more rows
         than the result.
 
-        Raises EnumerationCapError when the space holds more than
-        ``cap`` points, since the result may need to list all of them.
+        Raises EnumerationCapError when the function has more than
+        ``cap`` models: the descent stops at the first level whose rows
+        exceed ``cap``.
         """
         n = self.space.var_count
-        if (1 << n) > cap:
-            raise EnumerationCapError(
-                f"enumerating 2^{n} points exceeds the cap of {cap}")
         level, lo, hi, root = self._node_arrays()
         reached = np.array([root] if root != _FALSE else [], dtype=np.int32)
         rows = np.zeros((reached.size, (n + 7) // 8), dtype=np.uint8)
         for var in range(n):
+            if reached.size > cap:
+                break
             tests = level[reached] == var
             children = np.empty(2 * reached.size, dtype=np.int32)
             children[0::2] = np.where(tests, lo[reached], reached)
@@ -404,6 +397,9 @@ class BoolFunc:
             rows = rows[live >> 1]
             rows[:, var >> 3] |= ((live & 1) << (7 - (var & 7))).astype(np.uint8)
             reached = children[live]
+        if reached.size > cap:
+            raise EnumerationCapError(
+                f"enumerating more than {cap} models exceeds the cap of {cap}")
         return PointRows(rows, n)
 
     def compose(self, subst: Sequence["BoolFunc"]) -> "BoolFunc":
@@ -420,14 +416,13 @@ class BoolFunc:
         nodes = space._nodes
         # a node's children sit at deeper levels, so deepest first
         # rebuilds every child before its parent
-        order = sorted(self._reachable(), key=lambda h: nodes[h - 2][0],
+        order = sorted(self._reachable(), key=lambda h: nodes[h][0],
                        reverse=True)
-        with space._lock:
-            memo = {_FALSE: _FALSE, _TRUE: _TRUE}
-            for handle in order:
-                level, lo, hi = nodes[handle - 2]
-                memo[handle] = space._ite(subst[level]._handle, memo[hi], memo[lo])
-            return BoolFunc(space, memo[self._handle])
+        memo = {_FALSE: _FALSE, _TRUE: _TRUE}
+        for handle in order:
+            level, lo, hi = nodes[handle]
+            memo[handle] = space._ite(subst[level]._handle, memo[hi], memo[lo])
+        return BoolFunc(space, memo[self._handle])
 
     def restrict(self, assignment: Mapping[int, int]) -> "BoolFunc":
         """Cofactor by a cube: pin each variable index in ``assignment``.
@@ -439,39 +434,39 @@ class BoolFunc:
         if not assignment:
             return self
         space = self.space
-        # nodes below the deepest pinned level come back unchanged
+        # nodes below the deepest pinned level, the constants among them,
+        # come back unchanged
         deepest = max(assignment)
         if min(assignment) < 0 or deepest >= space.var_count:
             raise ValueError("variable index out of range")
-        with space._lock:
-            nodes = space._nodes
-            memo = {_FALSE: _FALSE, _TRUE: _TRUE}
-            stack = [self._handle]
-            while stack:
-                handle = stack[-1]
-                if handle in memo:
-                    stack.pop()
-                    continue
-                level, lo, hi = nodes[handle - 2]
-                if level > deepest:
-                    memo[handle] = handle
-                    stack.pop()
-                    continue
-                bit = assignment.get(level)
-                if bit is not None:
-                    # a pinned node keeps one branch; _mk then returns it
-                    lo = hi = hi if bit else lo
-                lo_done = memo.get(lo)
-                hi_done = memo.get(hi)
-                if lo_done is None or hi_done is None:
-                    if lo_done is None:
-                        stack.append(lo)
-                    if hi_done is None:
-                        stack.append(hi)
-                    continue
-                memo[handle] = space._mk(level, lo_done, hi_done)
+        nodes = space._nodes
+        memo: dict[int, int] = {}
+        stack = [self._handle]
+        while stack:
+            handle = stack[-1]
+            if handle in memo:
                 stack.pop()
-            return BoolFunc(space, memo[self._handle])
+                continue
+            level, lo, hi = nodes[handle]
+            if level > deepest:
+                memo[handle] = handle
+                stack.pop()
+                continue
+            bit = assignment.get(level)
+            if bit is not None:
+                # a pinned node keeps one branch; _mk then returns it
+                lo = hi = hi if bit else lo
+            lo_done = memo.get(lo)
+            hi_done = memo.get(hi)
+            if lo_done is None or hi_done is None:
+                if lo_done is None:
+                    stack.append(lo)
+                if hi_done is None:
+                    stack.append(hi)
+                continue
+            memo[handle] = space._mk(level, lo_done, hi_done)
+            stack.pop()
+        return BoolFunc(space, memo[self._handle])
 
     def format_expr(self, max_terms: Optional[int] = None) -> str:
         """Sum-of-products rendering built from the 1-paths.
@@ -499,7 +494,7 @@ class BoolFunc:
                     break
                 terms.append("&".join(cube) if cube else "1")
                 continue
-            level, lo, hi = nodes[handle - 2]
+            level, lo, hi = nodes[handle]
             stack.append((hi, cube + (names[level],)))
             stack.append((lo, cube + ("~" + names[level],)))
         rendered = " | ".join(terms)

@@ -89,7 +89,8 @@ def tt_of_func(func) -> TruthTable:
     that each of the 2^L prefixes reaches; each entry then doubles into
     its low and high child, or into itself twice when its node does not
     test variable L.  The node arrays are the engine's compact ones,
-    which its on-set enumeration descends too.
+    which its on-set enumeration descends too, in the table convention
+    of BoolSpace.
     """
     n = func.space.var_count
     if n > MAX_TABLE_VARS:

@@ -283,7 +283,15 @@ class TestAllMode:
                                  capsys=capsys)
         assert code == EXIT_ERROR
         assert out == ""
-        assert err == "error: enumerating 2^4 points exceeds the cap of 2\n"
+        assert err == "error: enumerating more than 2 models exceeds the cap of 2\n"
+
+    def test_cap_counts_models_not_points(self, tmp_path, capsys):
+        # 2^30 points, one model: the default cap of 2^24 lets it through
+        formula, model = implication_chain(30, random.Random(30))
+        code, out, _ = run_cli(["--mode", "all"], cnf=emit_dimacs(formula),
+                               tmp_path=tmp_path, capsys=capsys)
+        assert code == EXIT_SAT
+        assert out == "s SATISFIABLE\n" + reference_v_lines([model], 30)
 
     def test_cap_beyond_any_fixed_width_rank(self, tmp_path, capsys):
         formula, model = implication_chain(80, random.Random(118))

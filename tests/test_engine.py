@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows
-from projsat.oracle import TruthTable
+from projsat.oracle import TruthTable, tt_of_func
 
 from helpers import bit_columns, random_func
 
@@ -289,6 +289,21 @@ class TestEnumeration:
             s.true.enumerate_on_set(cap=31)
         assert len(s.true.enumerate_on_set(cap=32)) == 32
 
+    def test_cap_counts_models_not_points(self):
+        # the cap bounds the models, not the 2^n points of the space;
+        # the 0-variable space is checked before its first level
+        small, wide = BoolSpace(12), BoolSpace(40)
+        cube = wide.true
+        for i in range(40):
+            cube = cube & (wide.var(i) if i % 2 else ~wide.var(i))
+        cases = (((small.var(0) ^ small.var(5)) & ~small.var(11), 1024),
+                 (cube, 1), (BoolSpace(0).true, 1))
+        for f, models in cases:
+            assert len(f.enumerate_on_set(cap=models)) == models
+            with pytest.raises(EnumerationCapError):
+                f.enumerate_on_set(cap=models - 1)
+        assert BoolSpace(0).false.enumerate_on_set(cap=0) == []
+
     def test_matches_truth_table_points(self):
         rng = random.Random(21)
         for n in range(11):
@@ -506,22 +521,22 @@ class TestCanonicity:
 
 class TestConcurrency:
     def test_parallel_construction_agrees_with_sequential(self):
-        s = BoolSpace(8)
+        # a space is for one thread, so each thread builds in its own;
+        # handles of different spaces never compare equal, so each
+        # result is compared as a truth table
         seeds = list(range(16))
-        sequential = {}
-        for seed in seeds:
-            f, table = random_func(s, random.Random(1000 + seed), depth=5)
-            sequential[seed] = (f, table)
+        sequential = {
+            seed: random_func(BoolSpace(8), random.Random(1000 + seed), depth=5)[1]
+            for seed in seeds}
 
         results = {}
         errors = []
 
         def worker(seed):
             try:
-                shared = BoolSpace(8)  # not used; touch API from the thread
-                del shared
-                f, table = random_func(s, random.Random(1000 + seed), depth=5)
-                results[seed] = (f, table)
+                f, _ = random_func(BoolSpace(8), random.Random(1000 + seed),
+                                   depth=5)
+                results[seed] = f
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -533,8 +548,19 @@ class TestConcurrency:
             t.join()
         assert not errors
         for seed in seeds:
-            assert results[seed][0] == sequential[seed][0]
-            assert np.array_equal(results[seed][1], sequential[seed][1])
+            assert np.array_equal(tt_of_func(results[seed]).bits,
+                                  sequential[seed])
+
+
+class TestDeepGraphs:
+    @pytest.mark.xfail(raises=RecursionError, strict=True,
+                       reason="_ite recurses once per variable level")
+    def test_ite_below_a_5000_level_conjunction(self):
+        s = BoolSpace(5000)
+        f = s.true
+        for i in reversed(range(5000)):
+            f = s.var(i) & f
+        assert (f & ~s.var(4999)) == s.false
 
 
 class TestRepr:

@@ -358,7 +358,7 @@ class TestClosedFormRewrite:
         assert res.final == formula_to_func(formula, res.final.space)
 
 
-class TestParallel:
+class TestDeterminism:
     def test_repeat_runs_identical(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
         first = solve(formula)
