@@ -30,6 +30,17 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 
 
+def _model_cap(text: str) -> int:
+    """A --max-enum value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projsat",
@@ -48,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "exhaustive truth table (implied by --mode verify)")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of s/v lines")
-    parser.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
+    parser.add_argument("--max-enum", type=_model_cap, default=DEFAULT_ENUM_CAP,
                         metavar="COUNT",
                         help="model cap for --mode all (default 2^24)")
     return parser

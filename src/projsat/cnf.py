@@ -94,9 +94,11 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> CnfFormula:
     Accepts a string, bytes, or a file-like object; UTF-8 or ASCII,
     LF or CRLF.  Comment lines start with 'c', the single header line
     is 'p cnf <vars> <clauses>', and clauses are 0-terminated integer
-    runs that may span lines.  A clause count differing from the
-    header is reported as a warning, not an error; input that is not
-    UTF-8 raises DimacsParseError.
+    runs that may span lines.  A line that is exactly '%' ends the
+    clause section and whatever follows it is ignored, so the '%' / '0'
+    trailer of the SATLIB uf* files parses.  A clause count differing
+    from the header is reported as a warning, not an error; input that
+    is not UTF-8 raises DimacsParseError.
     """
     try:
         data = source.read() if hasattr(source, "read") else source
@@ -134,6 +136,8 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> CnfFormula:
                 raise DimacsParseError(f"line {lineno}: negative header counts")
             header = (var_count, declared)
             continue
+        if line == "%":
+            break
         if header is None:
             raise DimacsParseError(
                 f"line {lineno}: clause data before the 'p cnf' header")

@@ -100,7 +100,8 @@ class BoolSpace:
     Table convention: ``_nodes[h]`` is the row ``(level, lo, hi)`` of
     handle h.  The constants 0 and 1 are rows 0 and 1, ``(n, 0, 0)``
     and ``(n, 1, 1)``: each is its own child at level n, below every
-    variable.  Decision nodes follow from handle 2 on.
+    variable.  Decision nodes follow from handle 2 on, each numbered
+    after its children, so ascending handles list children first.
     """
 
     def __init__(self, variables: Union[int, Sequence[str]]):
@@ -169,6 +170,58 @@ class BoolSpace:
         return BoolFunc(self, self._ite(cond._handle, when_true._handle,
                                         when_false._handle))
 
+    def restrict(self, funcs: Sequence["BoolFunc"],
+                 assignment: Mapping[int, int]) -> list["BoolFunc"]:
+        """Cofactor each function by one cube, in one walk.
+
+        Pins each variable index in ``assignment`` to its bit, as
+        :meth:`BoolFunc.restrict` does, for every function in
+        ``funcs``; a subgraph they share is restricted once.
+        """
+        for func in funcs:
+            self._check(func)
+        if not assignment:
+            return list(funcs)
+        deepest = max(assignment)
+        if min(assignment) < 0 or deepest >= len(self._names):
+            raise ValueError("variable index out of range")
+        nodes = self._nodes
+        # the nodes at or above the deepest pinned level, and of a pinned
+        # node only the branch it keeps; the nodes below, the constants
+        # among them, come back unchanged
+        inside = []
+        seen = set()
+        for func in funcs:
+            root = func._handle
+            if root not in seen and nodes[root][0] <= deepest:
+                seen.add(root)
+                inside.append(root)
+        for handle in inside:
+            level, lo, hi = nodes[handle]
+            bit = assignment.get(level)
+            if bit is not None:
+                lo = hi = hi if bit else lo
+            if lo not in seen and nodes[lo][0] <= deepest:
+                seen.add(lo)
+                inside.append(lo)
+            if hi not in seen and nodes[hi][0] <= deepest:
+                seen.add(hi)
+                inside.append(hi)
+        # ascending handles rebuild every child before its parent
+        inside.sort()
+        memo: dict[int, int] = {}
+        mk = self._mk
+        for handle in inside:
+            level, lo, hi = nodes[handle]
+            bit = assignment.get(level)
+            if bit is None:
+                memo[handle] = mk(level, memo.get(lo, lo), memo.get(hi, hi))
+            else:
+                child = hi if bit else lo
+                memo[handle] = memo.get(child, child)
+        return [BoolFunc(self, memo.get(func._handle, func._handle))
+                for func in funcs]
+
     # -- internals ------------------------------------------------------
 
     def _check(self, func) -> None:
@@ -205,8 +258,13 @@ class BoolSpace:
         c_var, c_lo, c_hi = nodes[cond]
         y_var, y_lo, y_hi = nodes[yes]
         n_var, n_lo, n_hi = nodes[no]
-        # an operand that does not test the top variable is its own branch
-        level = min(c_var, y_var, n_var)
+        # an operand that does not test the top variable is its own
+        # branch; two comparisons find the top level faster than min()
+        level = c_var
+        if y_var < level:
+            level = y_var
+        if n_var < level:
+            level = n_var
         if c_var != level:
             c_lo = c_hi = cond
         if y_var != level:
@@ -329,17 +387,24 @@ class BoolFunc:
 
     def _reachable(self) -> set[int]:
         """Handles of the decision nodes this function's graph contains."""
+        root = self._handle
+        if root < 2:
+            return set()
         nodes = self.space._nodes
-        seen: set[int] = set()
-        stack = [self._handle]
+        # only decision nodes are pushed, each once: marked when pushed
+        seen = {root}
+        mark = seen.add
+        stack = [root]
+        push = stack.append
+        pop = stack.pop
         while stack:
-            handle = stack.pop()
-            if handle < 2 or handle in seen:
-                continue
-            seen.add(handle)
-            _, lo, hi = nodes[handle]
-            stack.append(lo)
-            stack.append(hi)
+            _, lo, hi = nodes[pop()]
+            if lo >= 2 and lo not in seen:
+                mark(lo)
+                push(lo)
+            if hi >= 2 and hi not in seen:
+                mark(hi)
+                push(hi)
         return seen
 
     def support(self) -> frozenset[int]:
@@ -414,12 +479,9 @@ class BoolFunc:
         for entry in subst:
             space._check(entry)
         nodes = space._nodes
-        # a node's children sit at deeper levels, so deepest first
-        # rebuilds every child before its parent
-        order = sorted(self._reachable(), key=lambda h: nodes[h][0],
-                       reverse=True)
         memo = {_FALSE: _FALSE, _TRUE: _TRUE}
-        for handle in order:
+        # ascending handles rebuild every child before its parent
+        for handle in sorted(self._reachable()):
             level, lo, hi = nodes[handle]
             memo[handle] = space._ite(subst[level]._handle, memo[hi], memo[lo])
         return BoolFunc(space, memo[self._handle])
@@ -428,45 +490,10 @@ class BoolFunc:
         """Cofactor by a cube: pin each variable index in ``assignment``.
 
         The result is f with x_i replaced by the constant assignment[i]
-        for every listed i, in one memoised walk linear in the size of
-        f.  An empty assignment returns f itself.
+        for every listed i, in one walk linear in the size of f.  An
+        empty assignment returns f unchanged.
         """
-        if not assignment:
-            return self
-        space = self.space
-        # nodes below the deepest pinned level, the constants among them,
-        # come back unchanged
-        deepest = max(assignment)
-        if min(assignment) < 0 or deepest >= space.var_count:
-            raise ValueError("variable index out of range")
-        nodes = space._nodes
-        memo: dict[int, int] = {}
-        stack = [self._handle]
-        while stack:
-            handle = stack[-1]
-            if handle in memo:
-                stack.pop()
-                continue
-            level, lo, hi = nodes[handle]
-            if level > deepest:
-                memo[handle] = handle
-                stack.pop()
-                continue
-            bit = assignment.get(level)
-            if bit is not None:
-                # a pinned node keeps one branch; _mk then returns it
-                lo = hi = hi if bit else lo
-            lo_done = memo.get(lo)
-            hi_done = memo.get(hi)
-            if lo_done is None or hi_done is None:
-                if lo_done is None:
-                    stack.append(lo)
-                if hi_done is None:
-                    stack.append(hi)
-                continue
-            memo[handle] = space._mk(level, lo_done, hi_done)
-            stack.pop()
-        return BoolFunc(space, memo[self._handle])
+        return self.space.restrict((self,), assignment)[0]
 
     def format_expr(self, max_terms: Optional[int] = None) -> str:
         """Sum-of-products rendering built from the 1-paths.

@@ -10,7 +10,14 @@ For this single-point map the rewrite has a closed form,
     g o pi == ite(f, g, g restricted to supp(t) = p),
 
 so a step costs one cube restriction and one ite per factor, and the
-substitution vector is never built.  Each step's record holds the
+substitution vector is never built.  Only the factors whose variables
+meet the pinned cube are rewritten: a factor g that tests none of them
+is its own restriction, and ite(f, g, g) == g, so skipping it is
+exact.  Each factor carries a bit mask of the variables it may depend
+on, widened by the frozen factor's mask at every rewrite, since
+ite(f, g, g restricted) depends on nothing outside supp(f) | supp(g);
+a mask that holds more than the support only costs a rewrite that
+returns the factor unchanged.  Each step's record holds the
 frozen factor, the off-point p and the pinned cube supp(t) = p, which
 together determine the map.  Because the product of the remaining
 factors is always bounded by the chosen target, each step preserves
@@ -99,14 +106,21 @@ def solve(formula: CnfFormula, factor_order: str = "input") -> SolveResult:
 
     working = [clause_to_func(c, space) for c in live] or [space.true]
     k = len(working)
-    # node counts of the factors, refreshed only for rewritten ones
+    # node counts of the factors, refreshed only for rewritten ones, and
+    # their running total over the factors not yet frozen
     sizes = [func.node_count() for func in working]
+    remaining = sum(sizes)
+    # one bit per variable a factor may depend on: a clause depends on
+    # every variable it names (each once, as duplicates are dropped and
+    # tautologies left out), and a rewrite adds the frozen factor's
+    masks = [sum(1 << lit.var for lit in c.literals) for c in live] or [0]
     steps: list[StepRecord] = []
     # every run ends in a break, leaving the final factor in current
     for i, current in enumerate(working):
         if not current.is_sat() or i == k - 1:
             break
-        before = sum(sizes[i + 1:])
+        remaining -= sizes[i]
+        before = remaining
         if current == space.true:
             steps.append(StepRecord(i, 0, before, before, None, current, None))
             continue
@@ -116,13 +130,21 @@ def solve(formula: CnfFormula, factor_order: str = "input") -> SolveResult:
             break
         off = target.any_off_point()
         cube = {v: off[v] for v in target.support()}
-        for j in range(i + 1, k):
+        # a factor the cube does not reach is its own restriction, and
+        # ite(f, g, g) == g, so only the factors it reaches are rewritten
+        pinned = sum(1 << v for v in cube)
+        touched = [j for j in range(i + 1, k) if masks[j] & pinned]
+        restricted = space.restrict([working[j] for j in touched], cube)
+        for j, cofactor in zip(touched, restricted):
             func = working[j]
-            rewritten = space.ite(current, func, func.restrict(cube))
+            rewritten = space.ite(current, func, cofactor)
             if rewritten != func:
                 working[j] = rewritten
-                sizes[j] = rewritten.node_count()
-        steps.append(StepRecord(i, sizes[i], before, sum(sizes[i + 1:]), off,
+                size = rewritten.node_count()
+                remaining += size - sizes[j]
+                sizes[j] = size
+                masks[j] |= masks[i]
+        steps.append(StepRecord(i, sizes[i], before, remaining, off,
                                 current, cube))
 
     if current.is_sat():

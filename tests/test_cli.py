@@ -113,6 +113,11 @@ class TestExitCodes:
             assert captured.err == ("error: byte 0xff at offset 5 "
                                     "is not UTF-8\n")
 
+    def test_satlib_trailer(self, tmp_path, capsys):
+        code, out, err = run_cli([], cnf="p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n",
+                                 tmp_path=tmp_path, capsys=capsys)
+        assert (code, out, err) == (EXIT_SAT, "s SATISFIABLE\nv -1 -2 3 0\n", "")
+
     def test_unknown_flag(self, capsys):
         assert run(["--frobnicate"]) == EXIT_ERROR
         capsys.readouterr()
@@ -300,6 +305,26 @@ class TestAllMode:
                                capsys=capsys)
         assert code == EXIT_SAT
         assert out == "s SATISFIABLE\n" + reference_v_lines([model], 80)
+
+    def test_negative_cap_is_a_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["--mode", "all", "--max-enum", "-1"],
+                                 cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
+                                 capsys=capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("usage: projsat")
+        assert err.endswith("error: argument --max-enum: must be at least 0, "
+                            "got -1\n")
+
+    def test_zero_cap_is_valid(self, tmp_path, capsys):
+        code, out, _ = run_cli(["--mode", "all", "--max-enum", "0"],
+                               cnf=TWO_VAR_UNSAT, tmp_path=tmp_path,
+                               capsys=capsys)
+        assert (code, out) == (EXIT_UNSAT, "s UNSATISFIABLE\n")
+        code, _, err = run_cli(["--mode", "all", "--max-enum", "0"],
+                               cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
+                               capsys=capsys)
+        assert code == EXIT_ERROR
+        assert err == "error: enumerating more than 0 models exceeds the cap of 0\n"
 
     def test_enum_cap_large_enough(self, tmp_path, capsys):
         code, out, _ = run_cli(["--mode", "all", "--max-enum", "16"],

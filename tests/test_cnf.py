@@ -2,6 +2,7 @@
 
 import io
 import random
+import warnings
 
 import pytest
 
@@ -129,6 +130,22 @@ class TestParse:
     def test_unterminated_clause(self):
         with pytest.raises(DimacsParseError, match="0-terminated"):
             parse_dimacs("p cnf 2 1\n1 -2\n")
+
+    def test_satlib_trailer_ends_the_clauses(self):
+        # the SATLIB uf* files end in a '%' line and a lone '0'
+        text = "c uf\np cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = parse_dimacs(text)
+        assert [c.to_ints() for c in f.clauses] == [[1, -2], [2, 3]]
+        assert parse_dimacs("p cnf 1 1\n1 0\n %\ngarbage 9 x\n").clauses == [
+            Clause.from_ints([1])]
+
+    def test_percent_is_not_a_token_inside_a_line(self):
+        with pytest.raises(DimacsParseError, match="line 2"):
+            parse_dimacs("p cnf 2 1\n1 % 0\n")
+        with pytest.raises(DimacsParseError, match="0-terminated"):
+            parse_dimacs("p cnf 2 1\n1 -2\n%\n0\n")
 
     def test_count_mismatch_is_warning(self):
         with pytest.warns(UserWarning, match="declares 3"):

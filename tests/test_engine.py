@@ -263,6 +263,52 @@ class TestSupport:
                 assert (i in got) == depends
 
 
+def robdd_node_count(table, n):
+    """Nodes of the reduced ordered diagram, read from a truth table.
+
+    The nodes testing variable i are the distinct subfunctions left by
+    fixing x0..x(i-1) that still depend on x(i).
+    """
+    count = 0
+    for i in range(n):
+        blocks = table.reshape(1 << i, 1 << (n - i))
+        half = 1 << (n - i - 1)
+        count += len({block.tobytes() for block in blocks
+                      if (block[:half] != block[half:]).any()})
+    return count
+
+
+class TestNodeCount:
+    def test_constants_have_no_nodes(self):
+        s = BoolSpace(4)
+        for const in (s.true, s.false):
+            assert const.node_count() == 0
+            assert const.support() == frozenset()
+
+    def test_shared_subgraphs_counted_once(self):
+        # parity shares both nodes of every level below the top between
+        # two parents; x0&x1 | x2&x3 shares its x2 node
+        s = BoolSpace(4)
+        x = [s.var(i) for i in range(4)]
+        parity = x[0] ^ x[1] ^ x[2] ^ x[3]
+        assert parity.node_count() == 7
+        assert parity.support() == frozenset(range(4))
+        pairs = (x[0] & x[1]) | (x[2] & x[3])
+        assert pairs.node_count() == 4
+        assert (~parity).node_count() == 7
+        assert (parity & x[1]).support() == frozenset(range(4))
+
+    def test_matches_the_truth_table_count(self):
+        rng = random.Random(29)
+        s = BoolSpace(6)
+        for _ in range(100):
+            f, table = random_func(s, rng, depth=5)
+            assert f.node_count() == robdd_node_count(table, 6)
+            levels = {s._nodes[h][0] for h in f._reachable()}
+            assert f.support() == frozenset(levels)
+            assert len(f._reachable()) == f.node_count()
+
+
 class TestEnumeration:
     def test_empty_on_set(self):
         s = BoolSpace(3)
@@ -422,6 +468,28 @@ class TestRestrict:
             s.var(0).restrict({3: 1})
         with pytest.raises(ValueError):
             s.var(0).restrict({-1: 0})
+        with pytest.raises(ValueError):
+            s.restrict([s.var(0)], {3: 1})
+
+    def test_space_restrict_matches_each_function(self):
+        # functions built from shared parts, restricted in one walk
+        rng = random.Random(25)
+        s = BoolSpace(6)
+        for _ in range(60):
+            funcs = [random_func(s, rng)[0] for _ in range(4)]
+            funcs += [funcs[0] & funcs[1], funcs[0] | funcs[2], s.true,
+                      s.false, funcs[0]]
+            pinned = rng.sample(range(6), rng.randint(0, 6))
+            cube = {v: rng.randint(0, 1) for v in pinned}
+            assert s.restrict(funcs, cube) == [f.restrict(cube) for f in funcs]
+        assert s.restrict([], {0: 1}) == []
+
+    def test_space_restrict_checks_its_functions(self):
+        s, other = BoolSpace(3), BoolSpace(3)
+        with pytest.raises(ValueError):
+            s.restrict([s.var(0), other.var(0)], {0: 1})
+        with pytest.raises(TypeError):
+            s.restrict([0], {0: 1})
 
 
 class TestReferenceCycles:

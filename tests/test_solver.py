@@ -358,6 +358,45 @@ class TestClosedFormRewrite:
         assert res.final == formula_to_func(formula, res.final.space)
 
 
+class TestUntouchedFactorsSkipped:
+    # a factor that tests no pinned variable is its own restriction and
+    # ite(f, g, g) == g, so a step rewrites only the factors it reaches
+
+    def test_chain_step_rewrites_a_few_factors(self, monkeypatch):
+        counts = {"ite": 0, "restricted": 0}
+        ite, restrict = BoolSpace.ite, BoolSpace.restrict
+
+        def counted_ite(space, *args):
+            counts["ite"] += 1
+            return ite(space, *args)
+
+        def counted_restrict(space, funcs, assignment):
+            counts["restricted"] += len(funcs)
+            return restrict(space, funcs, assignment)
+
+        monkeypatch.setattr(BoolSpace, "ite", counted_ite)
+        monkeypatch.setattr(BoolSpace, "restrict", counted_restrict)
+        formula, model = implication_chain(300, random.Random(117))
+        res = solve(formula)
+        assert res.witness == model
+        assert len(res.steps) == 299
+        # every factor but the next two tests no pinned variable
+        assert counts["ite"] <= 3 * len(res.steps)
+        assert counts["restricted"] <= 3 * len(res.steps)
+
+    def test_shuffled_chains_match_compose_path(self):
+        # with the clauses shuffled, frozen factors spread over many
+        # variables, so the solver's support masks over-approximate
+        for n, seed in ((48, 118), (60, 119)):
+            formula, model = implication_chain(n, random.Random(seed))
+            random.Random(seed).shuffle(formula.clauses)
+            res = solve(formula)
+            assert res.witness == model
+            steps, final = compose_path(formula, res.final.space)
+            assert res.steps == steps
+            assert res.final == final
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
