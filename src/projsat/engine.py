@@ -24,6 +24,10 @@ DEFAULT_ENUM_CAP = 1 << 24
 _FALSE = 0
 _TRUE = 1
 
+#: Smallest unique table that BoolSpace.collect sweeps.  Below it a
+#: sweep frees little and empties a computed table still worth hitting.
+_COLLECT_FLOOR = 1 << 13
+
 
 class EnumerationCapError(ValueError):
     """An on-set enumeration would exceed the configured model cap."""
@@ -89,6 +93,25 @@ class PointRows(Sequence):
         return f"PointRows([{shown}{more}])"
 
 
+def _decision_nodes(nodes: list, roots: Sequence[int]) -> set[int]:
+    """Handles of the decision nodes reachable from the root handles."""
+    # only decision nodes are pushed, each once: marked when pushed
+    seen = {root for root in roots if root >= 2}
+    mark = seen.add
+    stack = list(seen)
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        _, lo, hi = nodes[pop()]
+        if lo >= 2 and lo not in seen:
+            mark(lo)
+            push(lo)
+        if hi >= 2 and hi not in seen:
+            mark(hi)
+            push(hi)
+    return seen
+
+
 class BoolSpace:
     """Manages all Boolean functions over one ordered variable set.
 
@@ -102,6 +125,8 @@ class BoolSpace:
     and ``(n, 1, 1)``: each is its own child at level n, below every
     variable.  Decision nodes follow from handle 2 on, each numbered
     after its children, so ascending handles list children first.
+    :meth:`collect` sets the row of each node it sweeps to None, and a
+    handle is never reused, so that order holds after a sweep too.
     """
 
     def __init__(self, variables: Union[int, Sequence[str]]):
@@ -116,10 +141,12 @@ class BoolSpace:
         self._names = names
         self._name_index = {name: i for i, name in enumerate(names)}
         n = len(names)
-        self._nodes: list[tuple[int, int, int]] = [(n, _FALSE, _FALSE),
-                                                   (n, _TRUE, _TRUE)]
+        self._nodes: list[Optional[tuple[int, int, int]]] = [
+            (n, _FALSE, _FALSE), (n, _TRUE, _TRUE)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
+        # decision nodes left by the last sweep
+        self._live_after_sweep = 0
 
     @property
     def var_count(self) -> int:
@@ -221,6 +248,30 @@ class BoolSpace:
                 memo[handle] = memo.get(child, child)
         return [BoolFunc(self, memo.get(func._handle, func._handle))
                 for func in funcs]
+
+    def collect(self, roots: Sequence["BoolFunc"]) -> None:
+        """Sweep the nodes that no root reaches, once the table has grown.
+
+        The roots must reach every function of this space still in use:
+        a function whose nodes are swept may not be used again.  Nothing
+        happens until the unique table holds at least twice the nodes
+        the last sweep kept, and at least ``_COLLECT_FLOOR``.  A sweep
+        keeps every node reachable from a root under its handle, sets
+        the rows of the others to None and empties the computed table,
+        whose entries may name them.
+        """
+        if len(self._unique) < max(_COLLECT_FLOOR, 2 * self._live_after_sweep):
+            return
+        for func in roots:
+            self._check(func)
+        nodes = self._nodes
+        marked = _decision_nodes(nodes, [func._handle for func in roots])
+        for handle in self._unique.values():
+            if handle not in marked:
+                nodes[handle] = None
+        self._unique = {nodes[handle]: handle for handle in marked}
+        self._ite_cache = {}
+        self._live_after_sweep = len(marked)
 
     # -- internals ------------------------------------------------------
 
@@ -387,25 +438,7 @@ class BoolFunc:
 
     def _reachable(self) -> set[int]:
         """Handles of the decision nodes this function's graph contains."""
-        root = self._handle
-        if root < 2:
-            return set()
-        nodes = self.space._nodes
-        # only decision nodes are pushed, each once: marked when pushed
-        seen = {root}
-        mark = seen.add
-        stack = [root]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            _, lo, hi = nodes[pop()]
-            if lo >= 2 and lo not in seen:
-                mark(lo)
-                push(lo)
-            if hi >= 2 and hi not in seen:
-                mark(hi)
-                push(hi)
-        return seen
+        return _decision_nodes(self.space._nodes, (self._handle,))
 
     def support(self) -> frozenset[int]:
         """Indices of the variables the function actually depends on."""

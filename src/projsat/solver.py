@@ -26,6 +26,14 @@ conjunction of the whole formula.  solve() only decides: the solution
 set is final.enumerate_on_set(), and oracle_check() compares the final
 factor with a reference built without the solver.
 
+Each step leaves the old versions of the factors it rewrote behind in
+the space's tables, so solve() ends every step with
+space.collect(working).  The factors alone are roots enough: solve()
+builds the space, and until it returns every function in use is in
+working, the frozen factors that the step records hold among them,
+so no reference counts are needed.  A sweep keeps each live handle,
+and the records stay == to anything built later in the same space.
+
 Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
 after which the product is no longer preserved and the verdict can be
@@ -146,6 +154,7 @@ def solve(formula: CnfFormula, factor_order: str = "input") -> SolveResult:
                 masks[j] |= masks[i]
         steps.append(StepRecord(i, sizes[i], before, remaining, off,
                                 current, cube))
+        space.collect(working)
 
     if current.is_sat():
         return SolveResult(SolveStatus.SAT, current.any_on_point(), steps, current)

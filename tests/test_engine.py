@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows
+from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows, solve
+from projsat import engine
 from projsat.oracle import TruthTable, tt_of_func
 
-from helpers import bit_columns, random_func
+from helpers import bit_columns, implication_chain, random_func
 
 
 def all_points(n):
@@ -490,6 +491,78 @@ class TestRestrict:
             s.restrict([s.var(0), other.var(0)], {0: 1})
         with pytest.raises(TypeError):
             s.restrict([0], {0: 1})
+
+
+class TestCollect:
+    # collect() keeps what its roots reach under the same handles; a
+    # floor of 0 makes it sweep whenever the table has doubled
+
+    def build(self, s, count=40):
+        """Random functions with their tables, each from its own seed."""
+        return [random_func(s, random.Random(seed), depth=5)
+                for seed in range(count)]
+
+    def test_below_the_floor_nothing_changes(self):
+        s = BoolSpace(6)
+        built = self.build(s)
+        nodes, unique, cache = list(s._nodes), dict(s._unique), dict(s._ite_cache)
+        assert len(unique) < engine._COLLECT_FLOOR
+        s.collect([built[0][0]])
+        assert s._nodes == nodes
+        assert s._unique == unique
+        assert s._ite_cache == cache
+
+    def test_a_forced_sweep_keeps_the_roots(self, monkeypatch):
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        s = BoolSpace(6)
+        built = self.build(s)
+        roots = [f for f, _ in built[::4]]
+        made = len(s._nodes)
+        s.collect(roots)
+        live = set().union(*(f._reachable() for f in roots))
+        assert set(s._unique.values()) == live
+        assert len(live) < made - 2
+        assert s._ite_cache == {}
+        for handle in range(2, made):
+            assert (s._nodes[handle] is None) == (handle not in live)
+        for handle in live:
+            level, lo, hi = s._nodes[handle]
+            assert lo < handle and hi < handle
+            assert s._unique[level, lo, hi] == handle
+        # no sweep again until the table doubles what the last one kept
+        s.collect([])
+        assert set(s._unique.values()) == live
+        for f, table in built[::4]:
+            assert np.array_equal(tt_of_func(f).bits, table)
+        # a rebuilt root is the same handle; a rebuilt swept function is
+        # made anew and still matches its table
+        for seed, (rebuilt, _) in enumerate(self.build(s)):
+            original, table = built[seed]
+            assert np.array_equal(tt_of_func(rebuilt).bits, table)
+            if seed % 4 == 0:
+                assert rebuilt == original
+
+    def test_roots_must_belong_to_the_space(self, monkeypatch):
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        s, other = BoolSpace(3), BoolSpace(3)
+        s.var(0)
+        with pytest.raises(ValueError):
+            s.collect([other.var(0)])
+        with pytest.raises(TypeError):
+            s.collect([0])
+
+    def test_a_space_never_collected_keeps_every_node(self, monkeypatch):
+        # solve() sweeps only the space it builds
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        s = BoolSpace(6)
+        built = self.build(s)
+        formula, _ = implication_chain(40, random.Random(34))
+        res = solve(formula)
+        assert None in res.final.space._nodes
+        assert None not in s._nodes
+        assert len(s._unique) == len(s._nodes) - 2
+        for f, table in built:
+            assert np.array_equal(tt_of_func(f).bits, table)
 
 
 class TestReferenceCycles:

@@ -18,6 +18,7 @@ from projsat import (
     solve,
     verify_projection,
 )
+from projsat import engine
 from projsat.oracle import tt_of_formula
 
 from helpers import (
@@ -395,6 +396,50 @@ class TestUntouchedFactorsSkipped:
             steps, final = compose_path(formula, res.final.space)
             assert res.steps == steps
             assert res.final == final
+
+
+class TestSweeps:
+    # solve() ends each step with space.collect(working); a sweep keeps
+    # every live handle, so the records stay == to anything built later
+
+    def test_forced_sweeps_keep_the_records_exact(self, monkeypatch):
+        # a floor of 0 sweeps whenever the table has doubled; the 100
+        # formulas of acceptance criterion 7 and two shuffled chains
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        rng = random.Random(0xACC7)
+        formulas = [random_cnf(rng) for _ in range(100)]
+        for n, seed in ((48, 118), (60, 119)):
+            formula, _ = implication_chain(n, random.Random(seed))
+            random.Random(seed).shuffle(formula.clauses)
+            formulas.append(formula)
+        swept = 0
+        for formula in formulas:
+            res = solve(formula)
+            swept += res.final.space._nodes.count(None)
+            assert (res.steps, res.final) == compose_path(formula, res.final.space)
+        assert swept > 0
+
+    def test_chain_tables_name_only_kept_nodes(self):
+        formula, model = implication_chain(300, random.Random(120))
+        res = solve(formula)
+        assert res.witness == model
+        space = res.final.space
+        nodes, unique = space._nodes, space._unique
+        kept = set(unique.values())
+        # the sweeps freed nodes, and left no row, child or cache entry
+        # naming one of them
+        assert len(kept) < len(nodes) - 2
+        for handle in range(2, len(nodes)):
+            assert (nodes[handle] is None) == (handle not in kept)
+        named = {0, 1} | kept
+        for (level, lo, hi), handle in unique.items():
+            assert nodes[handle] == (level, lo, hi)
+            assert lo in named and hi in named
+        for key, result in space._ite_cache.items():
+            assert set(key) <= named and result in named
+        roots = [step.func for step in res.steps] + [res.final]
+        assert set().union(*(f._reachable() for f in roots)) <= kept
+        assert res.final == formula_to_func(formula, space)
 
 
 class TestDeterminism:
