@@ -22,7 +22,8 @@ import numpy as np
 from .cnf import DimacsParseError, parse_dimacs
 from .engine import DEFAULT_ENUM_CAP, EnumerationCapError, PointRows
 from .oracle import formula_satisfied
-from .solver import SolveResult, SolveStatus, oracle_check, solve
+from .solver import (FACTOR_ORDERS, SolveResult, SolveStatus, oracle_check,
+                     solve)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,8 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="solve: one witness; all: every solution; "
                              "trace: per-step chain dump; verify: solve plus "
                              "oracle cross-checks, exit 0 on success")
-    parser.add_argument("--order", choices=("input", "size"), default="input",
-                        help="factor order: input sequence or ascending clause width")
+    parser.add_argument("--order", choices=tuple(FACTOR_ORDERS),
+                        default="bottom-up",
+                        help="factor order: bottom-up (the default) reduces "
+                             "clauses by descending smallest variable, input "
+                             "is the paper's order (input sequence), size is "
+                             "ascending clause width")
     parser.add_argument("--oracle-check", action="store_true",
                         help="cross-check the final factor against the "
                              "exhaustive truth table (implied by --mode verify)")

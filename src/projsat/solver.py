@@ -34,6 +34,14 @@ working, the frozen factors that the step records hold among them,
 so no reference counts are needed.  A sweep keeps each live handle,
 and the records stay == to anything built later in the same space.
 
+Any clause order gives a final factor == to the conjunction, so the
+order moves only the steps.  The default, bottom-up, is the bucket
+order of directional resolution: a clause's BDD is rooted at its
+smallest variable, and the clauses are stable-sorted by
+bottom_up_key(), minus that variable, so the deepest roots are
+reduced first and ties keep input order.  input is the paper's order;
+size sorts by ascending clause width.
+
 Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
 after which the product is no longer preserved and the verdict can be
@@ -47,7 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .cnf import CnfFormula, clause_to_func, formula_to_func
+from .cnf import Clause, CnfFormula, clause_to_func, formula_to_func
 from .engine import BoolFunc, BoolSpace
 from .oracle import MAX_TABLE_VARS, tt_equal, tt_of_formula, tt_of_func
 # projection_for is unused here; bench/tracing.py wraps it under this name
@@ -94,23 +102,40 @@ class SolveResult:
     final: BoolFunc
 
 
-def solve(formula: CnfFormula, factor_order: str = "input") -> SolveResult:
+def bottom_up_key(clause: Clause) -> int:
+    """Sort key of the bottom-up order: minus the clause's smallest variable.
+
+    The smallest variable is the level of the clause BDD's root, so a
+    stable sort on this key reduces the deepest-rooted clauses first.
+    """
+    return -min(lit.var for lit in clause.literals)
+
+
+#: The factor orders by name, each with its sort key (None: input order).
+FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None, "size": len}
+
+
+def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
     """Decide a CNF by chained projective reduction.
 
     Tautological clauses are dropped up front; an empty clause is an
-    immediate UNSAT.  The remaining factors are reduced left to right,
-    in input order or by ascending clause width (``factor_order="size"``),
-    and the final factor's on-set is the formula's full solution set.
+    immediate UNSAT.  The remaining factors are reduced left to right
+    in ``factor_order``: ``"bottom-up"`` stable-sorts them by
+    bottom_up_key(), descending smallest variable; ``"input"`` keeps
+    input order, the paper's; ``"size"`` sorts by ascending clause
+    width.  The final factor's on-set is the formula's full solution
+    set, whatever the order.
     """
-    if factor_order not in ("input", "size"):
-        raise ValueError("factor_order must be 'input' or 'size'")
+    if factor_order not in FACTOR_ORDERS:
+        raise ValueError("factor_order must be 'bottom-up', 'input' or 'size'")
     space = BoolSpace(formula.var_count)
 
     live = [c for c in formula.clauses if not c.is_tautology]
     if any(not c.literals for c in live):
         return SolveResult(SolveStatus.UNSAT, None, [], space.false)
-    if factor_order == "size":
-        live = sorted(live, key=len)
+    key = FACTOR_ORDERS[factor_order]
+    if key is not None:
+        live = sorted(live, key=key)
 
     working = [clause_to_func(c, space) for c in live] or [space.true]
     k = len(working)

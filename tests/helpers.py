@@ -13,7 +13,7 @@ import numpy as np
 
 from projsat import BoolSpace, Clause, CnfFormula, Literal, clause_to_func
 from projsat.projections import projection_for
-from projsat.solver import StepRecord
+from projsat.solver import StepRecord, bottom_up_key
 
 TWO_VAR_UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 FOUR_VAR_SAT = "p cnf 4 3\n-1 2 4 0\n-2 3 -4 0\n1 3 -4 0\n"
@@ -122,17 +122,21 @@ def projection_pins(proj):
     return pins
 
 
-def compose_path(formula: CnfFormula, space: BoolSpace, factor_order="input"):
+def compose_path(formula: CnfFormula, space: BoolSpace,
+                 factor_order="bottom-up"):
     """The solver's loop with the general compose rewrite, as a reference.
 
     Every remaining factor is composed with the full substitution vector
-    of the step's projection.  Returns the step records and the final
-    factor in the form solve() gives them; meant for formulas whose
-    clauses are all non-empty.
+    of the step's projection.  The factors come in solve()'s order of
+    the same name, solve()'s default included.  Returns the step records
+    and the final factor in the form solve() gives them; meant for
+    formulas whose clauses are all non-empty.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
     if factor_order == "size":
         live = sorted(live, key=len)
+    elif factor_order == "bottom-up":
+        live = sorted(live, key=bottom_up_key)
     working = [clause_to_func(c, space) for c in live] or [space.true]
     steps = []
     for i, current in enumerate(working):

@@ -15,6 +15,7 @@ from projsat import Clause, CnfFormula, parse_dimacs
 from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, run
 from projsat.cnf import emit_dimacs
 from projsat.oracle import formula_satisfied, index_to_point, tt_of_formula
+from projsat.solver import FACTOR_ORDERS
 
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain,
                      random_clause, random_cnf, reference_v_lines)
@@ -164,8 +165,9 @@ class TestJsonOutput:
         assert data["witness"] is None
 
     def test_round_trips_through_json_module(self, tmp_path, capsys):
-        _, out, _ = run_cli(["--json", "--mode", "trace"], cnf=FOUR_VAR_SAT,
-                            tmp_path=tmp_path, capsys=capsys)
+        # the chain pinned below is the paper's, in input order
+        _, out, _ = run_cli(["--json", "--mode", "trace", "--order", "input"],
+                            cnf=FOUR_VAR_SAT, tmp_path=tmp_path, capsys=capsys)
         data = json.loads(out)
         again = json.dumps(data, sort_keys=True)
         assert again == out.rstrip("\n")
@@ -231,8 +233,10 @@ class TestJsonOutput:
 
 class TestTraceMode:
     def test_step_lines_and_pin_lines(self, tmp_path, capsys):
-        code, out, _ = run_cli(["--mode", "trace"], cnf=FOUR_VAR_SAT,
-                               tmp_path=tmp_path, capsys=capsys)
+        # the chain pinned below is the paper's, in input order
+        code, out, _ = run_cli(["--mode", "trace", "--order", "input"],
+                               cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
+                               capsys=capsys)
         assert code == EXIT_SAT
         lines = out.splitlines()
         assert lines[:5] == [
@@ -356,11 +360,11 @@ class TestInvariantsOnRandomInstances:
             formula = random_cnf(rng, max_vars=7, max_clauses=12)
             text = emit_dimacs(formula)
             outputs = []
-            for extra in ([], ["--order", "size"]):
-                code, out, _ = run_cli(list(extra), cnf=text,
+            for extra in [[]] + [["--order", o] for o in FACTOR_ORDERS]:
+                code, out, _ = run_cli(extra, cnf=text,
                                        tmp_path=tmp_path, capsys=capsys)
                 outputs.append((code, out))
-            assert outputs[0] == outputs[1]
+            assert all(output == outputs[0] for output in outputs)
 
 
 def sweep_formulas(n, rng):

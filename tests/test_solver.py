@@ -20,6 +20,7 @@ from projsat import (
 )
 from projsat import engine
 from projsat.oracle import tt_of_formula
+from projsat.solver import FACTOR_ORDERS, bottom_up_key
 
 from helpers import (
     FOUR_VAR_SAT,
@@ -216,7 +217,8 @@ class TestSolveBasics:
             solve(formula).final.enumerate_on_set(3)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="factor_order"):
+        with pytest.raises(ValueError,
+                           match="factor_order must be 'bottom-up', 'input' or 'size'"):
             solve(parse_dimacs(FOUR_VAR_SAT), factor_order="widest")
 
 
@@ -233,18 +235,20 @@ class TestSoundnessRegression:
         ])
 
     def test_escaped_factor_instance_is_unsat(self):
+        # the trap lies in input order; every order must answer UNSAT
         formula = self.brittle_formula()
         assert tt_of_formula(formula).count() == 0
-        res = solve(formula)
-        assert res.status is SolveStatus.UNSAT
-        oracle_check(formula, res.final)
+        for order in FACTOR_ORDERS:
+            res = solve(formula, factor_order=order)
+            assert res.status is SolveStatus.UNSAT
+            oracle_check(formula, res.final)
 
     def test_mid_run_tautology_is_skipped_and_harmless(self):
-        # in the same instance the third factor reduces to constant 1:
-        # it must be passed over both as a frozen factor and as a
-        # projection target
+        # in the same instance, in input order, the third factor reduces
+        # to constant 1: it must be passed over both as a frozen factor
+        # and as a projection target
         formula = self.brittle_formula()
-        res = solve(formula)
+        res = solve(formula, factor_order="input")
         s = res.final.space
         skipped = [step for step in res.steps if step.func == s.true]
         assert skipped
@@ -337,17 +341,19 @@ class TestClosedFormRewrite:
             assert g.compose(proj.subst) == s.ite(fixed, g, g.restrict(cube))
 
     def test_steps_match_compose_path(self):
-        # size order and mid-run tautologies, which criterion 7 leaves out
+        # mid-run tautologies, which criterion 7 leaves out, and wider
+        # formulas, in every factor order
         rng = random.Random(115)
-        cases = [(TestSoundnessRegression().brittle_formula(), "input")]
+        formulas = [TestSoundnessRegression().brittle_formula()]
         for _ in range(30):
-            cases.append((random_cnf(rng, max_vars=9, max_clauses=30,
-                                     min_vars=6), "size"))
-        for formula, order in cases:
-            res = solve(formula, factor_order=order)
-            steps, final = compose_path(formula, res.final.space, order)
-            assert res.steps == steps
-            assert res.final == final
+            formulas.append(random_cnf(rng, max_vars=9, max_clauses=30,
+                                       min_vars=6))
+        for formula in formulas:
+            for order in FACTOR_ORDERS:
+                res = solve(formula, factor_order=order)
+                steps, final = compose_path(formula, res.final.space, order)
+                assert res.steps == steps
+                assert res.final == final
 
     def test_long_chain_final_factor_equals_conjunction(self):
         # 300 variables, above the oracle's cap: checked against direct
@@ -386,16 +392,71 @@ class TestUntouchedFactorsSkipped:
         assert counts["restricted"] <= 3 * len(res.steps)
 
     def test_shuffled_chains_match_compose_path(self):
-        # with the clauses shuffled, frozen factors spread over many
-        # variables, so the solver's support masks over-approximate
+        # with the clauses shuffled and reduced in input order, frozen
+        # factors spread over many variables, so the solver's support
+        # masks over-approximate; the default order undoes the shuffle
+        # (size order, which barely moves it, would only double the time)
         for n, seed in ((48, 118), (60, 119)):
             formula, model = implication_chain(n, random.Random(seed))
             random.Random(seed).shuffle(formula.clauses)
-            res = solve(formula)
-            assert res.witness == model
-            steps, final = compose_path(formula, res.final.space)
-            assert res.steps == steps
-            assert res.final == final
+            for order in ("input", "bottom-up"):
+                res = solve(formula, factor_order=order)
+                assert res.witness == model
+                steps, final = compose_path(formula, res.final.space, order)
+                assert res.steps == steps
+                assert res.final == final
+
+
+class TestFactorOrders:
+    # any clause order gives a final factor == to the conjunction, so
+    # the order moves only the steps
+
+    def test_orders_agree_on_every_clause_kind(self):
+        # tautologies, unit clauses and the odd empty clause mixed in
+        rng = random.Random(121)
+        for _ in range(80):
+            formula = random_cnf(rng, max_vars=8, max_clauses=14)
+            n = formula.var_count
+            clauses = formula.clauses
+            for _ in range(rng.randint(0, 2)):
+                v = rng.randint(1, n)
+                clauses.append(Clause.from_ints([v, -v]))
+            for _ in range(rng.randint(0, 3)):
+                v = rng.randint(1, n)
+                clauses.append(Clause.from_ints([rng.choice((v, -v))]))
+            if rng.random() < 0.1:
+                clauses.append(Clause.from_ints([]))
+            rng.shuffle(clauses)
+            answers = []
+            for order in FACTOR_ORDERS:
+                res = solve(formula, factor_order=order)
+                assert res.final == formula_to_func(formula, res.final.space)
+                answers.append((res.status, res.witness,
+                                res.final.enumerate_on_set()))
+            assert all(answer == answers[0] for answer in answers)
+
+    def test_bottom_up_keeps_a_shuffled_chain_small(self):
+        # in input order the clause-shuffled 300-variable chain peaks at
+        # tens of thousands of remaining nodes; bottom-up undoes the
+        # shuffle and stays within two nodes per variable
+        n = 300
+        formula, model = implication_chain(n, random.Random(122))
+        random.Random(122).shuffle(formula.clauses)
+        res = solve(formula)
+        assert res.witness == model
+        assert max(step.remaining_before for step in res.steps) <= 2 * n
+
+    def test_bottom_up_reduces_the_deepest_roots_first(self):
+        # roots at x1, x2, x1, x3 and x2: x3 first, ties in input order
+        clauses = [Clause.from_ints(c) for c in (
+            [1, -2], [2, 3], [-1, 3], [-3], [-2, -3])]
+        assert sorted(clauses, key=bottom_up_key) == [
+            clauses[i] for i in (3, 1, 4, 0, 2)]
+        formula = CnfFormula(3, clauses)
+        res = solve(formula)
+        s = res.final.space
+        assert res.steps[0].func == clause_to_func(clauses[3], s)
+        assert res.final == formula_to_func(formula, s)
 
 
 class TestSweeps:
@@ -420,8 +481,10 @@ class TestSweeps:
         assert swept > 0
 
     def test_chain_tables_name_only_kept_nodes(self):
+        # in input order the chain's tables outgrow the sweep floor; in
+        # the default order they stay below it
         formula, model = implication_chain(300, random.Random(120))
-        res = solve(formula)
+        res = solve(formula, factor_order="input")
         assert res.witness == model
         space = res.final.space
         nodes, unique = space._nodes, space._unique
@@ -478,7 +541,7 @@ class TestRecords:
         # the chain is the step records plus the final factor, from
         # which the verdict and the witness are read
         for text in (TWO_VAR_UNSAT, FOUR_VAR_SAT):
-            for order in ("input", "size"):
+            for order in FACTOR_ORDERS:
                 res = solve(parse_dimacs(text), factor_order=order)
                 assert [step.factor_index for step in res.steps] == list(
                     range(len(res.steps)))
