@@ -37,7 +37,7 @@ def show(name, text):
             off = "".join(str(b) for b in step.off_point)
             line += f"   (next projection lands on {off})"
         print(" ", line)
-        print(f"      factor size {step.factor_size}, remaining factors "
+        print(f"      factor size {step.factor_size}, space holds "
               f"{step.remaining_before} -> {step.remaining_after} nodes")
     final = result.final
     print(f"  f{len(result.steps) + 1} = {final.format_expr(max_terms=12)}"

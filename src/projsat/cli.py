@@ -57,8 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="bottom-up",
                         help="factor order: bottom-up (the default) reduces "
                              "clauses by descending smallest variable, input "
-                             "is the paper's order (input sequence), size is "
-                             "ascending clause width")
+                             "is the paper's order (input sequence)")
     parser.add_argument("--oracle-check", action="store_true",
                         help="cross-check the final factor against the "
                              "exhaustive truth table (implied by --mode verify)")

@@ -156,6 +156,11 @@ class BoolSpace:
     def var_names(self) -> tuple[str, ...]:
         return self._names
 
+    @property
+    def unique_nodes(self) -> int:
+        """Decision nodes in the unique table: every node not yet swept."""
+        return len(self._unique)
+
     # -- function constructors ----------------------------------------
 
     def const(self, value) -> "BoolFunc":

@@ -39,8 +39,14 @@ order moves only the steps.  The default, bottom-up, is the bucket
 order of directional resolution: a clause's BDD is rooted at its
 smallest variable, and the clauses are stable-sorted by
 bottom_up_key(), minus that variable, so the deepest roots are
-reduced first and ties keep input order.  input is the paper's order;
-size sorts by ascending clause width.
+reduced first and ties keep input order.  input is the paper's order.
+
+The loop counts no nodes.  A record's remaining_before and
+remaining_after are the space's unique_nodes, the decision nodes in
+its table, read when the step starts and after its rewrites, before
+the sweep: the nodes of every factor still in use plus the garbage
+the next sweep may free.  factor_size, the frozen factor's node
+count, is counted when it is read.
 
 Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
@@ -51,7 +57,7 @@ trips the original-clause variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -77,15 +83,24 @@ class StepRecord:
     restricted by off the frozen factor; together they determine the
     projection.  ``off_point`` and ``pins`` are None for a skipped
     tautology.
+
+    ``remaining_before`` and ``remaining_after`` are the decision nodes
+    in the space's unique table when the step starts and after its
+    rewrites, before the sweep.  They record the space's history, not
+    the chain, so records compare equal without them.
     """
 
     factor_index: int
-    factor_size: int
-    remaining_before: int
-    remaining_after: int
+    remaining_before: int = field(compare=False)
+    remaining_after: int = field(compare=False)
     off_point: Optional[tuple[int, ...]]
     func: BoolFunc
     pins: Optional[dict[int, int]]
+
+    @property
+    def factor_size(self) -> int:
+        """Decision nodes of the frozen factor (a constant: 0)."""
+        return self.func.node_count()
 
 
 @dataclass
@@ -112,7 +127,7 @@ def bottom_up_key(clause: Clause) -> int:
 
 
 #: The factor orders by name, each with its sort key (None: input order).
-FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None, "size": len}
+FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None}
 
 
 def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
@@ -122,12 +137,11 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
     immediate UNSAT.  The remaining factors are reduced left to right
     in ``factor_order``: ``"bottom-up"`` stable-sorts them by
     bottom_up_key(), descending smallest variable; ``"input"`` keeps
-    input order, the paper's; ``"size"`` sorts by ascending clause
-    width.  The final factor's on-set is the formula's full solution
-    set, whatever the order.
+    input order, the paper's.  The final factor's on-set is the
+    formula's full solution set, whatever the order.
     """
     if factor_order not in FACTOR_ORDERS:
-        raise ValueError("factor_order must be 'bottom-up', 'input' or 'size'")
+        raise ValueError("factor_order must be 'bottom-up' or 'input'")
     space = BoolSpace(formula.var_count)
 
     live = [c for c in formula.clauses if not c.is_tautology]
@@ -139,10 +153,6 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
 
     working = [clause_to_func(c, space) for c in live] or [space.true]
     k = len(working)
-    # node counts of the factors, refreshed only for rewritten ones, and
-    # their running total over the factors not yet frozen
-    sizes = [func.node_count() for func in working]
-    remaining = sum(sizes)
     # one bit per variable a factor may depend on: a clause depends on
     # every variable it names (each once, as duplicates are dropped and
     # tautologies left out), and a rewrite adds the frozen factor's
@@ -152,10 +162,9 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
     for i, current in enumerate(working):
         if not current.is_sat() or i == k - 1:
             break
-        remaining -= sizes[i]
-        before = remaining
+        before = space.unique_nodes
         if current == space.true:
-            steps.append(StepRecord(i, 0, before, before, None, current, None))
+            steps.append(StepRecord(i, before, before, None, current, None))
             continue
         target = next((working[j] for j in range(i + 1, k)
                        if working[j] != space.true), None)
@@ -173,11 +182,8 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
             rewritten = space.ite(current, func, cofactor)
             if rewritten != func:
                 working[j] = rewritten
-                size = rewritten.node_count()
-                remaining += size - sizes[j]
-                sizes[j] = size
                 masks[j] |= masks[i]
-        steps.append(StepRecord(i, sizes[i], before, remaining, off,
+        steps.append(StepRecord(i, before, space.unique_nodes, off,
                                 current, cube))
         space.collect(working)
 
@@ -191,13 +197,19 @@ def oracle_check(formula: CnfFormula, final: BoolFunc) -> str:
 
     Up to MAX_TABLE_VARS variables the reference is the exhaustive truth
     table; above that cap it is the direct conjunction of the clauses,
-    compared by canonical equality.  Returns the check made as one line
-    of text and raises RuntimeError when the two disagree.
+    compared by canonical equality.  The conjunction is taken in
+    bottom-up order, an empty clause (a constant, rooted below every
+    variable) first: the same function as in input order, built far
+    faster.  Returns the check made as one line of text and raises
+    RuntimeError when the two disagree.
     """
-    if formula.var_count <= MAX_TABLE_VARS:
+    n = formula.var_count
+    if n <= MAX_TABLE_VARS:
         if not tt_equal(tt_of_formula(formula), tt_of_func(final)):
             raise RuntimeError("final factor disagrees with the exhaustive oracle")
         return "final factor agrees with the exhaustive truth table"
-    if final != formula_to_func(formula, final.space):
+    clauses = sorted(formula.clauses,
+                     key=lambda c: bottom_up_key(c) if c.literals else -n)
+    if final != formula_to_func(replace(formula, clauses=clauses), final.space):
         raise RuntimeError("final factor differs from the direct conjunction")
     return "final factor equals the direct conjunction of the clauses"

@@ -129,29 +129,27 @@ def compose_path(formula: CnfFormula, space: BoolSpace,
     Every remaining factor is composed with the full substitution vector
     of the step's projection.  The factors come in solve()'s order of
     the same name, solve()'s default included.  Returns the step records
-    and the final factor in the form solve() gives them; meant for
-    formulas whose clauses are all non-empty.
+    and the final factor in the form solve() gives them, with 0 for the
+    table figures remaining_before and remaining_after, which record
+    equality leaves out; meant for formulas whose clauses are all
+    non-empty.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
-    if factor_order == "size":
-        live = sorted(live, key=len)
-    elif factor_order == "bottom-up":
+    if factor_order == "bottom-up":
         live = sorted(live, key=bottom_up_key)
     working = [clause_to_func(c, space) for c in live] or [space.true]
     steps = []
     for i, current in enumerate(working):
         if not current.is_sat() or i == len(working) - 1:
             break
-        before = sum(f.node_count() for f in working[i + 1:])
         if current == space.true:
-            steps.append(StepRecord(i, 0, before, before, None, current, None))
+            steps.append(StepRecord(i, 0, 0, None, current, None))
             continue
         target = next((f for f in working[i + 1:] if f != space.true), None)
         if target is None:
             break
         proj = projection_for(current, target)
         working[i + 1:] = [f.compose(proj.subst) for f in working[i + 1:]]
-        after = sum(f.node_count() for f in working[i + 1:])
-        steps.append(StepRecord(i, current.node_count(), before, after,
-                                proj.off_point, current, projection_pins(proj)))
+        steps.append(StepRecord(i, 0, 0, proj.off_point, current,
+                                projection_pins(proj)))
     return steps, current

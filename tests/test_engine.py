@@ -518,9 +518,11 @@ class TestCollect:
         built = self.build(s)
         roots = [f for f, _ in built[::4]]
         made = len(s._nodes)
+        assert s.unique_nodes == made - 2
         s.collect(roots)
         live = set().union(*(f._reachable() for f in roots))
         assert set(s._unique.values()) == live
+        assert s.unique_nodes == len(live)
         assert len(live) < made - 2
         assert s._ite_cache == {}
         for handle in range(2, made):

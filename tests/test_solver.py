@@ -1,14 +1,17 @@
 """Projective-cofactor composition laws and the chained solver."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from projsat import (
+    BoolFunc,
     BoolSpace,
     Clause,
     CnfFormula,
     EnumerationCapError,
+    Literal,
     SolveStatus,
     clause_to_func,
     formula_to_func,
@@ -19,7 +22,7 @@ from projsat import (
     verify_projection,
 )
 from projsat import engine
-from projsat.oracle import tt_of_formula
+from projsat.oracle import MAX_TABLE_VARS, tt_of_formula
 from projsat.solver import FACTOR_ORDERS, bottom_up_key
 
 from helpers import (
@@ -218,7 +221,7 @@ class TestSolveBasics:
 
     def test_config_validation(self):
         with pytest.raises(ValueError,
-                           match="factor_order must be 'bottom-up', 'input' or 'size'"):
+                           match="factor_order must be 'bottom-up' or 'input'"):
             solve(parse_dimacs(FOUR_VAR_SAT), factor_order="widest")
 
 
@@ -304,27 +307,6 @@ class TestSolveAgainstOracle:
             direct = formula_to_func(formula, final.space)
             assert final == direct
 
-    def test_size_order_also_exact(self):
-        rng = random.Random(112)
-        for _ in range(40):
-            formula = random_cnf(rng, max_vars=8, max_clauses=14)
-            res = solve(formula, factor_order="size")
-            assert res.final.enumerate_on_set() == sat_points(formula)
-
-    def test_size_order_freezes_ascending_widths(self):
-        formula = CnfFormula(3, [
-            Clause.from_ints([1, -2, 3]),
-            Clause.from_ints([2]),
-            Clause.from_ints([-1, 3]),
-        ])
-        res = solve(formula)
-        sizes_input = [step.factor_size for step in res.steps]
-        res_sorted = solve(formula, factor_order="size")
-        s = res_sorted.final.space
-        assert res_sorted.steps[0].func == clause_to_func(formula.clauses[1], s)
-        assert sizes_input != [] and res.status is res_sorted.status
-
-
 
 class TestClosedFormRewrite:
     def test_restriction_matches_composition_with_the_projection(self):
@@ -395,7 +377,6 @@ class TestUntouchedFactorsSkipped:
         # with the clauses shuffled and reduced in input order, frozen
         # factors spread over many variables, so the solver's support
         # masks over-approximate; the default order undoes the shuffle
-        # (size order, which barely moves it, would only double the time)
         for n, seed in ((48, 118), (60, 119)):
             formula, model = implication_chain(n, random.Random(seed))
             random.Random(seed).shuffle(formula.clauses)
@@ -436,15 +417,16 @@ class TestFactorOrders:
             assert all(answer == answers[0] for answer in answers)
 
     def test_bottom_up_keeps_a_shuffled_chain_small(self):
-        # in input order the clause-shuffled 300-variable chain peaks at
-        # tens of thousands of remaining nodes; bottom-up undoes the
-        # shuffle and stays within two nodes per variable
+        # in input order the clause-shuffled 300-variable chain starts a
+        # step with up to 87,628 nodes in its table (292 per variable);
+        # bottom-up undoes the shuffle and stays within ten per variable
+        # (2,685 here), below the sweep floor, so no sweep blurs it
         n = 300
         formula, model = implication_chain(n, random.Random(122))
         random.Random(122).shuffle(formula.clauses)
         res = solve(formula)
         assert res.witness == model
-        assert max(step.remaining_before for step in res.steps) <= 2 * n
+        assert max(step.remaining_before for step in res.steps) <= 10 * n
 
     def test_bottom_up_reduces_the_deepest_roots_first(self):
         # roots at x1, x2, x1, x3 and x2: x3 first, ties in input order
@@ -505,6 +487,45 @@ class TestSweeps:
         assert res.final == formula_to_func(formula, space)
 
 
+class TestStepFigures:
+    # the loop counts no nodes: remaining_* are read off the space's
+    # unique table, and factor_size is counted when it is read
+
+    def test_solve_counts_no_nodes(self, monkeypatch):
+        # the 100 formulas of acceptance criterion 7 in every order, and
+        # a 300-variable chain
+        rng = random.Random(0xACC7)
+        formulas = [random_cnf(rng) for _ in range(100)]
+        formulas.append(implication_chain(300, random.Random(123))[0])
+        node_count = BoolFunc.node_count
+
+        def refuse(func):
+            raise AssertionError("solve() counted a factor's nodes")
+
+        results = []
+        for formula in formulas:
+            for order in FACTOR_ORDERS:
+                monkeypatch.setattr(BoolFunc, "node_count", refuse)
+                res = solve(formula, factor_order=order)
+                monkeypatch.setattr(BoolFunc, "node_count", node_count)
+                results.append(res)
+        assert sum(len(res.steps) for res in results) > 0
+        for res in results:
+            for step in res.steps:
+                assert step.factor_size == step.func.node_count()
+                assert step.remaining_before <= step.remaining_after
+            if res.steps:
+                assert res.steps[-1].remaining_after >= res.final.node_count()
+
+    def test_table_figures_stay_out_of_record_equality(self):
+        formula = parse_dimacs(FOUR_VAR_SAT)
+        step = solve(formula).steps[0]
+        moved = replace(step, remaining_before=step.remaining_before + 5,
+                        remaining_after=step.remaining_after + 7)
+        assert moved == step
+        assert replace(step, factor_index=step.factor_index + 1) != step
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
@@ -560,6 +581,37 @@ class TestOracleCheck:
             formula, _ = implication_chain(n, random.Random(n))
             checked = oracle_check(formula, solve(formula).final)
             assert "direct conjunction" in checked
+
+    def test_random_3sat_above_the_cap(self):
+        # the reference conjoins in bottom-up order, which keeps it to a
+        # fraction of the solve; dropping a clause that counts makes a
+        # wrong final the check refuses
+        n = MAX_TABLE_VARS + 2
+        rng = random.Random(124)
+        formula = CnfFormula(n, [
+            Clause(tuple(Literal(v, rng.random() < 0.5)
+                         for v in rng.sample(range(n), 3)))
+            for _ in range(round(4.26 * n))])
+        final = solve(formula).final
+        assert "direct conjunction" in oracle_check(formula, final)
+        for dropped in range(len(formula.clauses)):
+            rest = formula.clauses[:dropped] + formula.clauses[dropped + 1:]
+            wrong = formula_to_func(
+                CnfFormula(n, sorted(rest, key=bottom_up_key)), final.space)
+            if wrong != final:
+                break
+        assert wrong != final
+        with pytest.raises(RuntimeError):
+            oracle_check(formula, wrong)
+
+    def test_empty_clause_above_the_cap(self):
+        formula, _ = implication_chain(30, random.Random(125))
+        formula.clauses.insert(7, Clause.from_ints([]))
+        final = solve(formula).final
+        assert final == final.space.false
+        assert "direct conjunction" in oracle_check(formula, final)
+        with pytest.raises(RuntimeError):
+            oracle_check(formula, final.space.true)
 
     def test_wrong_final_raises_below_and_above_the_cap(self):
         for n in (12, 30):
