@@ -21,7 +21,7 @@ import numpy as np
 
 from .cnf import DimacsParseError, parse_dimacs
 from .engine import DEFAULT_ENUM_CAP, EnumerationCapError, PointRows
-from .oracle import formula_satisfied
+from .oracle import MAX_TABLE_VARS, formula_satisfied
 from .solver import (FACTOR_ORDERS, SolveResult, SolveStatus, oracle_check,
                      solve)
 
@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "is the paper's order (input sequence)")
     parser.add_argument("--oracle-check", action="store_true",
                         help="cross-check the final factor against the "
-                             "exhaustive truth table (implied by --mode verify)")
+                             f"truth table up to {MAX_TABLE_VARS} variables, "
+                             "above that the direct conjunction of the "
+                             "clauses (implied by --mode verify)")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of s/v lines")
     parser.add_argument("--max-enum", type=_model_cap, default=DEFAULT_ENUM_CAP,
@@ -84,20 +86,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 formula = parse_dimacs(handle)
         else:
             formula = parse_dimacs(sys.stdin.buffer.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except DimacsParseError as exc:
+    except (OSError, DimacsParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     try:
         result = solve(formula, opts.order)
         sat = result.status is SolveStatus.SAT
-        solutions = None
-        if opts.mode == "all":
-            solutions = (result.final.enumerate_on_set(opts.max_enum) if sat
-                         else PointRows.from_points([], formula.var_count))
+        solutions = (result.final.enumerate_on_set(opts.max_enum)
+                     if opts.mode == "all" else None)
         checks = None
         if opts.oracle_check or opts.mode == "verify":
             checks = [oracle_check(formula, result.final)]
@@ -153,9 +150,9 @@ def _chain(result: SolveResult) -> list[tuple]:
         (final, final.node_count(), None, None)]
 
 
-#: The StepRecord fields --json prints for each step.
-_STEP_KEYS = ("factor_index", "factor_size", "remaining_before",
-              "remaining_after", "off_point")
+#: The StepRecord fields --json prints for each step, after its position.
+_STEP_KEYS = ("factor_size", "remaining_before", "remaining_after",
+              "off_point")
 
 
 def _json_object(result: SolveResult, solutions: Optional[PointRows],
@@ -180,8 +177,8 @@ def _json_object(result: SolveResult, solutions: Optional[PointRows],
         "var_count": result.final.space.var_count,
         "witness": result.witness,
         "all_solutions": solutions.tolist() if solutions is not None else None,
-        "steps": [{key: getattr(s, key) for key in _STEP_KEYS}
-                  for s in result.steps],
+        "steps": [dict(factor_index=i, **{k: getattr(s, k) for k in _STEP_KEYS})
+                  for i, s in enumerate(result.steps)],
         "chain": chain,
     }
 

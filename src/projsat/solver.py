@@ -17,14 +17,32 @@ exact.  Each factor carries a bit mask of the variables it may depend
 on, widened by the frozen factor's mask at every rewrite, since
 ite(f, g, g restricted) depends on nothing outside supp(f) | supp(g);
 a mask that holds more than the support only costs a rewrite that
-returns the factor unchanged.  Each step's record holds the
-frozen factor, the off-point p and the pinned cube supp(t) = p, which
-together determine the map.  Because the product of the remaining
-factors is always bounded by the chosen target, each step preserves
-that product exactly; the final factor therefore equals the
-conjunction of the whole formula.  solve() only decides: the solution
-set is final.enumerate_on_set(), and oracle_check() compares the final
-factor with a reference built without the solver.
+returns the factor unchanged.  Each step's record holds the frozen
+factor and the pinned cube supp(t) = p, which together determine the
+map; p itself is the cube with 0 everywhere else, since the off-point
+walk sets a bit only on t's path, which lies inside supp(t).  Because
+the product of the remaining factors is always bounded by the chosen
+target, each step preserves that product exactly; the final factor
+therefore equals the conjunction of the whole formula.  solve() only
+decides: the solution set is final.enumerate_on_set(), and
+oracle_check() compares the final factor with a reference built
+without the solver.
+
+The frozen factors are the prefixes of that conjunction.  With
+C_0, ..., C_{k-1} the non-tautological clauses in solve order and
+P_i = C_0 & ... & C_i, the record of step i holds func == P_i when it
+has pins, and func == 1, a skipped step, when it has none.  Sketch, by
+induction over the steps: at the start of step i every unfrozen factor
+w_j agrees with its clause C_j on the ON-set of P_{i-1}, since each
+map so far is the identity on the ON-set of its frozen factor, which
+holds that of P_{i-1}.  A skipped w_i == 1 therefore means P_{i-1}
+implies C_i, so P_i == P_{i-1}.  Otherwise either i == 0 and
+w_0 == C_0 == P_0, or the last step not skipped froze f == P_{i-1}
+(P did not change since) and aimed at w_i: a target becomes f & t,
+never 1, so it is the next step not skipped.  Then w_i == f & t lies
+below P_{i-1} and, agreeing with C_i there, is P_i.  A rewrite
+ite(f, g, ...) keeps g on the ON-set of f == P_i, which carries the
+agreement to step i + 1.
 
 Each step leaves the old versions of the factors it rewrote behind in
 the space's tables, so solve() ends every step with
@@ -75,14 +93,16 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class StepRecord:
-    """One outer-loop step (indices are 0-based).
+    """One outer-loop step, at its factor's position in SolveResult.steps.
 
-    ``func`` is the frozen factor, ``off_point`` the smallest OFF-set
-    point p of the step's target t and ``pins`` the cube
+    ``func`` is the frozen factor and ``pins`` the cube
     {v: p[v] for v in supp(t)} that the remaining factors were
-    restricted by off the frozen factor; together they determine the
-    projection.  ``off_point`` and ``pins`` are None for a skipped
-    tautology.
+    restricted by off the frozen factor, p being the smallest OFF-set
+    point of the step's target t; together they determine the
+    projection.  ``pins`` is None for a skipped tautology.  By the
+    prefix rule of the module docstring, the record at position i holds
+    the conjunction of the first i + 1 clauses in solve order, or
+    constant 1 when it has no pins.
 
     ``remaining_before`` and ``remaining_after`` are the decision nodes
     in the space's unique table when the step starts and after its
@@ -90,12 +110,16 @@ class StepRecord:
     the chain, so records compare equal without them.
     """
 
-    factor_index: int
     remaining_before: int = field(compare=False)
     remaining_after: int = field(compare=False)
-    off_point: Optional[tuple[int, ...]]
     func: BoolFunc
     pins: Optional[dict[int, int]]
+
+    @property
+    def off_point(self) -> Optional[tuple[int, ...]]:
+        """The target's off-point p: the pins, 0 elsewhere (None if no pins)."""
+        pins, n = self.pins, self.func.space.var_count
+        return None if pins is None else tuple(pins.get(v, 0) for v in range(n))
 
     @property
     def factor_size(self) -> int:
@@ -105,25 +129,35 @@ class StepRecord:
 
 @dataclass
 class SolveResult:
-    """Verdict, witness, per-step records and the final factor.
+    """Per-step records and the final factor.
 
     ``final`` is the last factor, canonically equal to the conjunction
     of the whole formula; ``status`` and ``witness`` are read from it.
     """
 
-    status: SolveStatus
-    witness: Optional[tuple[int, ...]]
     steps: list[StepRecord]
     final: BoolFunc
 
+    @property
+    def status(self) -> SolveStatus:
+        """SAT unless the final factor is constant 0."""
+        return SolveStatus.SAT if self.final.is_sat() else SolveStatus.UNSAT
 
-def bottom_up_key(clause: Clause) -> int:
+    @property
+    def witness(self) -> Optional[tuple[int, ...]]:
+        """The smallest solution, or None for UNSAT."""
+        return self.final.any_on_point()
+
+
+def bottom_up_key(clause: Clause) -> float:
     """Sort key of the bottom-up order: minus the clause's smallest variable.
 
     The smallest variable is the level of the clause BDD's root, so a
     stable sort on this key reduces the deepest-rooted clauses first.
+    The empty clause is the constant 0, rooted below every variable, so
+    its key, minus infinity, sorts it before every other clause.
     """
-    return -min(lit.var for lit in clause.literals)
+    return -min((lit.var for lit in clause.literals), default=float("inf"))
 
 
 #: The factor orders by name, each with its sort key (None: input order).
@@ -146,7 +180,7 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
 
     live = [c for c in formula.clauses if not c.is_tautology]
     if any(not c.literals for c in live):
-        return SolveResult(SolveStatus.UNSAT, None, [], space.false)
+        return SolveResult([], space.false)
     key = FACTOR_ORDERS[factor_order]
     if key is not None:
         live = sorted(live, key=key)
@@ -164,7 +198,7 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
             break
         before = space.unique_nodes
         if current == space.true:
-            steps.append(StepRecord(i, before, before, None, current, None))
+            steps.append(StepRecord(before, before, current, None))
             continue
         target = next((working[j] for j in range(i + 1, k)
                        if working[j] != space.true), None)
@@ -183,13 +217,9 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
             if rewritten != func:
                 working[j] = rewritten
                 masks[j] |= masks[i]
-        steps.append(StepRecord(i, before, space.unique_nodes, off,
-                                current, cube))
+        steps.append(StepRecord(before, space.unique_nodes, current, cube))
         space.collect(working)
-
-    if current.is_sat():
-        return SolveResult(SolveStatus.SAT, current.any_on_point(), steps, current)
-    return SolveResult(SolveStatus.UNSAT, None, steps, current)
+    return SolveResult(steps, current)
 
 
 def oracle_check(formula: CnfFormula, final: BoolFunc) -> str:
@@ -198,18 +228,15 @@ def oracle_check(formula: CnfFormula, final: BoolFunc) -> str:
     Up to MAX_TABLE_VARS variables the reference is the exhaustive truth
     table; above that cap it is the direct conjunction of the clauses,
     compared by canonical equality.  The conjunction is taken in
-    bottom-up order, an empty clause (a constant, rooted below every
-    variable) first: the same function as in input order, built far
-    faster.  Returns the check made as one line of text and raises
-    RuntimeError when the two disagree.
+    bottom_up_key() order, an empty clause first: the same function as
+    in input order, built far faster.  Returns the check made as one
+    line of text and raises RuntimeError when the two disagree.
     """
-    n = formula.var_count
-    if n <= MAX_TABLE_VARS:
+    if formula.var_count <= MAX_TABLE_VARS:
         if not tt_equal(tt_of_formula(formula), tt_of_func(final)):
             raise RuntimeError("final factor disagrees with the exhaustive oracle")
         return "final factor agrees with the exhaustive truth table"
-    clauses = sorted(formula.clauses,
-                     key=lambda c: bottom_up_key(c) if c.literals else -n)
+    clauses = sorted(formula.clauses, key=bottom_up_key)
     if final != formula_to_func(replace(formula, clauses=clauses), final.space):
         raise RuntimeError("final factor differs from the direct conjunction")
     return "final factor equals the direct conjunction of the clauses"

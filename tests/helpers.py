@@ -132,7 +132,8 @@ def compose_path(formula: CnfFormula, space: BoolSpace,
     and the final factor in the form solve() gives them, with 0 for the
     table figures remaining_before and remaining_after, which record
     equality leaves out; meant for formulas whose clauses are all
-    non-empty.
+    non-empty.  Each record's off-point, which the record derives from
+    its pins, is checked against the projection's own.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
     if factor_order == "bottom-up":
@@ -143,13 +144,14 @@ def compose_path(formula: CnfFormula, space: BoolSpace,
         if not current.is_sat() or i == len(working) - 1:
             break
         if current == space.true:
-            steps.append(StepRecord(i, 0, 0, None, current, None))
+            steps.append(StepRecord(0, 0, current, None))
             continue
         target = next((f for f in working[i + 1:] if f != space.true), None)
         if target is None:
             break
         proj = projection_for(current, target)
         working[i + 1:] = [f.compose(proj.subst) for f in working[i + 1:]]
-        steps.append(StepRecord(i, 0, 0, proj.off_point, current,
-                                projection_pins(proj)))
+        record = StepRecord(0, 0, current, projection_pins(proj))
+        assert record.off_point == proj.off_point
+        steps.append(record)
     return steps, current

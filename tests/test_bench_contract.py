@@ -36,7 +36,9 @@ def test_tracer_reads_steps_and_models(tmp_path, capsys, monkeypatch):
     assert tracer.counts["solver.steps"] > 0
     assert tracer.counts["engine.models"] == models
     assert tracer.calls["solver.rewrite"] == 2
-    # one witness per satisfiable solve, one enumeration, one oracle pass
+    # the witness is read from the final factor only where it is used:
+    # never by --mode all, and by --mode verify for its clause check
+    # and its v line; one enumeration, one oracle pass
     assert tracer.calls["engine.witness"] == 2
     assert tracer.calls["engine.enumerate"] == 1
     assert tracer.calls["oracle.tt_formula"] == tracer.calls["oracle.tt_func"] == 1

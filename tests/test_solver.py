@@ -434,6 +434,8 @@ class TestFactorOrders:
             [1, -2], [2, 3], [-1, 3], [-3], [-2, -3])]
         assert sorted(clauses, key=bottom_up_key) == [
             clauses[i] for i in (3, 1, 4, 0, 2)]
+        # the empty clause, the constant 0, is rooted below them all
+        assert bottom_up_key(Clause.from_ints([])) < bottom_up_key(clauses[3])
         formula = CnfFormula(3, clauses)
         res = solve(formula)
         s = res.final.space
@@ -523,7 +525,7 @@ class TestStepFigures:
         moved = replace(step, remaining_before=step.remaining_before + 5,
                         remaining_after=step.remaining_after + 7)
         assert moved == step
-        assert replace(step, factor_index=step.factor_index + 1) != step
+        assert replace(step, pins={}) != step
 
 
 class TestDeterminism:
@@ -541,8 +543,8 @@ class TestRecords:
     def test_steps_reference_frozen_factors(self):
         formula = parse_dimacs(TWO_VAR_UNSAT)
         res = solve(formula)
-        indices = [step.factor_index for step in res.steps]
-        assert indices == sorted(indices)
+        # one record per frozen factor, the last factor being final
+        assert len(res.steps) < len(formula.clauses)
         for step in res.steps:
             if step.off_point is not None:
                 assert len(step.off_point) == formula.var_count
@@ -558,14 +560,39 @@ class TestRecords:
             # vanishes on the pinned cube
             assert after.restrict(step.pins) == res.final.space.false
 
+    def test_frozen_factors_are_prefix_conjunctions(self):
+        # record i freezes the conjunction of the first i + 1 clauses in
+        # solve order, or constant 1 when it has no pins: the 100
+        # formulas of acceptance criterion 7 in every order, and a
+        # 300-variable chain
+        rng = random.Random(0xACC7)
+        formulas = [random_cnf(rng) for _ in range(100)]
+        formulas.append(implication_chain(300, random.Random(126))[0])
+        kinds = {"pinned": 0, "skipped": 0}
+        for formula in formulas:
+            for order, key in FACTOR_ORDERS.items():
+                res = solve(formula, factor_order=order)
+                s = res.final.space
+                clauses = [c for c in formula.clauses if not c.is_tautology]
+                if key is not None:
+                    clauses.sort(key=key)
+                prefix = s.true
+                for step, clause in zip(res.steps, clauses):
+                    prefix &= clause_to_func(clause, s)
+                    if step.pins is None:
+                        kinds["skipped"] += 1
+                        assert step.func == s.true
+                    else:
+                        kinds["pinned"] += 1
+                        assert step.func == prefix
+        assert kinds["pinned"] > 0 and kinds["skipped"] > 0
+
     def test_every_solve_returns_the_chain(self):
         # the chain is the step records plus the final factor, from
         # which the verdict and the witness are read
         for text in (TWO_VAR_UNSAT, FOUR_VAR_SAT):
             for order in FACTOR_ORDERS:
                 res = solve(parse_dimacs(text), factor_order=order)
-                assert [step.factor_index for step in res.steps] == list(
-                    range(len(res.steps)))
                 assert (res.status is SolveStatus.SAT) == res.final.is_sat()
                 assert res.witness == res.final.any_on_point()
 
