@@ -98,6 +98,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         checks = None
         if opts.oracle_check or opts.mode == "verify":
             checks = [oracle_check(formula, result.final)]
+    except RecursionError:
+        # a RuntimeError too, named here rather than passed on as one
+        print(f"error: the decision diagrams of this {formula.var_count}-variable "
+              "formula nest deeper than the Python recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_ERROR
     except (EnumerationCapError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import IO, Iterable, Sequence, Union
 
 from .engine import BoolFunc, BoolSpace
@@ -178,12 +179,28 @@ def emit_dimacs(formula: CnfFormula) -> str:
 
 
 def clause_to_func(clause: Clause, space: BoolSpace) -> BoolFunc:
-    """Disjunction of the clause's literals; the empty clause is constant 0."""
-    out = space.false
-    for lit in clause.literals:
-        var = space.var(lit.var)
-        out = out | (~var if lit.negated else var)
-    return out
+    """Disjunction of the clause's literals; the empty clause is constant 0.
+
+    The diagram is one chain, one node per literal, built bottom-up: a
+    literal's node leads to 1 on the bit that satisfies it and to the
+    chain of the deeper literals otherwise.  A tautology is constant 1.
+    """
+    literals = sorted(clause.literals, key=attrgetter("var"), reverse=True)
+    if literals and not (literals[-1].var >= 0
+                         and literals[0].var < space.var_count):
+        raise ValueError("variable index out of range")
+    handle = 0  # the constant 0, below every literal
+    below = None
+    for lit in literals:
+        # duplicates were dropped, so a repeated variable is a tautology
+        if lit.var == below:
+            return space.true
+        below = lit.var
+        if lit.negated:
+            handle = space._mk(lit.var, 1, handle)
+        else:
+            handle = space._mk(lit.var, handle, 1)
+    return BoolFunc(space, handle)
 
 
 def formula_to_func(formula: CnfFormula, space: BoolSpace) -> BoolFunc:

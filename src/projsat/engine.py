@@ -12,7 +12,7 @@ by one numpy descent over the function's nodes, level by level.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from operator import eq
 from typing import Optional, Union
 
@@ -93,8 +93,8 @@ class PointRows(Sequence):
         return f"PointRows([{shown}{more}])"
 
 
-def _decision_nodes(nodes: list, roots: Sequence[int]) -> set[int]:
-    """Handles of the decision nodes reachable from the root handles."""
+def _decision_nodes(nodes: list, roots: Sequence[int]) -> Iterator[int]:
+    """Each decision node reachable from the root handles, once."""
     # only decision nodes are pushed, each once: marked when pushed
     seen = {root for root in roots if root >= 2}
     mark = seen.add
@@ -102,14 +102,15 @@ def _decision_nodes(nodes: list, roots: Sequence[int]) -> set[int]:
     push = stack.append
     pop = stack.pop
     while stack:
-        _, lo, hi = nodes[pop()]
+        handle = pop()
+        yield handle
+        _, lo, hi = nodes[handle]
         if lo >= 2 and lo not in seen:
             mark(lo)
             push(lo)
         if hi >= 2 and hi not in seen:
             mark(hi)
             push(hi)
-    return seen
 
 
 class BoolSpace:
@@ -212,47 +213,40 @@ class BoolSpace:
         """
         for func in funcs:
             self._check(func)
-        if not assignment:
-            return list(funcs)
-        deepest = max(assignment)
-        if min(assignment) < 0 or deepest >= len(self._names):
-            raise ValueError("variable index out of range")
-        nodes = self._nodes
-        # the nodes at or above the deepest pinned level, and of a pinned
-        # node only the branch it keeps; the nodes below, the constants
-        # among them, come back unchanged
-        inside = []
-        seen = set()
-        for func in funcs:
-            root = func._handle
-            if root not in seen and nodes[root][0] <= deepest:
-                seen.add(root)
-                inside.append(root)
-        for handle in inside:
-            level, lo, hi = nodes[handle]
-            bit = assignment.get(level)
-            if bit is not None:
-                lo = hi = hi if bit else lo
-            if lo not in seen and nodes[lo][0] <= deepest:
-                seen.add(lo)
-                inside.append(lo)
-            if hi not in seen and nodes[hi][0] <= deepest:
-                seen.add(hi)
-                inside.append(hi)
-        # ascending handles rebuild every child before its parent
-        inside.sort()
+        deepest = self._deepest_pin(assignment)
         memo: dict[int, int] = {}
-        mk = self._mk
-        for handle in inside:
-            level, lo, hi = nodes[handle]
-            bit = assignment.get(level)
-            if bit is None:
-                memo[handle] = mk(level, memo.get(lo, lo), memo.get(hi, hi))
-            else:
-                child = hi if bit else lo
-                memo[handle] = memo.get(child, child)
-        return [BoolFunc(self, memo.get(func._handle, func._handle))
+        return [BoolFunc(self, self._restricted(func._handle, assignment,
+                                                deepest, memo))
                 for func in funcs]
+
+    def projective_cofactors(self, frozen: "BoolFunc",
+                             thens: Sequence["BoolFunc"],
+                             funcs: Sequence["BoolFunc"],
+                             assignment: Mapping[int, int]) -> list["BoolFunc"]:
+        """``ite(frozen, thens[j], funcs[j] restricted by the cube)`` per j.
+
+        One call for a whole solver step: the cube is the one of
+        :meth:`restrict`, and the restrictions share one walk, so a
+        subgraph the functions share is restricted once.  A function
+        whose path through the pinned levels ends in a constant takes
+        that constant without entering the walk.
+        """
+        self._check(frozen)
+        if len(thens) != len(funcs):
+            raise ValueError("one then-branch per function is needed")
+        for func in thens:
+            self._check(func)
+        for func in funcs:
+            self._check(func)
+        deepest = self._deepest_pin(assignment)
+        memo: dict[int, int] = {}
+        cond = frozen._handle
+        ite = self._ite
+        restricted = self._restricted
+        return [BoolFunc(self, ite(cond, then._handle,
+                                   restricted(func._handle, assignment,
+                                              deepest, memo)))
+                for then, func in zip(thens, funcs)]
 
     def collect(self, roots: Sequence["BoolFunc"]) -> None:
         """Sweep the nodes that no root reaches, once the table has grown.
@@ -270,7 +264,7 @@ class BoolSpace:
         for func in roots:
             self._check(func)
         nodes = self._nodes
-        marked = _decision_nodes(nodes, [func._handle for func in roots])
+        marked = set(_decision_nodes(nodes, [func._handle for func in roots]))
         for handle in self._unique.values():
             if handle not in marked:
                 nodes[handle] = None
@@ -296,6 +290,45 @@ class BoolSpace:
             self._nodes.append(key)
             self._unique[key] = handle
         return handle
+
+    def _deepest_pin(self, assignment: Mapping[int, int]) -> int:
+        """The deepest pinned level (-1: none), every pin checked in range."""
+        if not assignment:
+            return -1
+        deepest = max(assignment)
+        if min(assignment) < 0 or deepest >= len(self._names):
+            raise ValueError("variable index out of range")
+        return deepest
+
+    def _restricted(self, handle: int, assignment: Mapping[int, int],
+                    deepest: int, memo: dict[int, int]) -> int:
+        """The handle with every variable in ``assignment`` pinned.
+
+        Pinned levels are followed as a path, without recursion, and a
+        node below ``deepest`` (a constant among them) comes back
+        unchanged, so the recursion depth is bounded by the unpinned
+        levels above the deepest pin.  ``memo`` maps each handle already
+        restricted to its result and may be shared across calls with the
+        same cube.
+        """
+        nodes = self._nodes
+        level, lo, hi = nodes[handle]
+        while level <= deepest:
+            bit = assignment.get(level)
+            if bit is None:
+                break
+            handle = hi if bit else lo
+            level, lo, hi = nodes[handle]
+        else:
+            # below every pin, a constant among them: unchanged
+            return handle
+        result = memo.get(handle)
+        if result is None:
+            result = self._mk(level,
+                              self._restricted(lo, assignment, deepest, memo),
+                              self._restricted(hi, assignment, deepest, memo))
+            memo[handle] = result
+        return result
 
     def _ite(self, cond: int, yes: int, no: int) -> int:
         if cond == _TRUE:
@@ -327,9 +360,34 @@ class BoolSpace:
             y_lo = y_hi = yes
         if n_var != level:
             n_lo = n_hi = no
-        result = self._mk(level,
-                          self._ite(c_lo, y_lo, n_lo),
-                          self._ite(c_hi, y_hi, n_hi))
+        # the terminal cases of each branch are settled here, as at the
+        # top, without a call
+        if c_lo == _TRUE:
+            lo = y_lo
+        elif c_lo == _FALSE or y_lo == n_lo:
+            lo = n_lo
+        elif y_lo == _TRUE and n_lo == _FALSE:
+            lo = c_lo
+        else:
+            lo = self._ite(c_lo, y_lo, n_lo)
+        if c_hi == _TRUE:
+            hi = y_hi
+        elif c_hi == _FALSE or y_hi == n_hi:
+            hi = n_hi
+        elif y_hi == _TRUE and n_hi == _FALSE:
+            hi = c_hi
+        else:
+            hi = self._ite(c_hi, y_hi, n_hi)
+        # _mk, inline
+        if lo == hi:
+            result = lo
+        else:
+            node = (level, lo, hi)
+            result = self._unique.get(node)
+            if result is None:
+                result = len(nodes)
+                nodes.append(node)
+                self._unique[node] = result
         self._ite_cache[key] = result
         return result
 
@@ -443,12 +501,22 @@ class BoolFunc:
 
     def _reachable(self) -> set[int]:
         """Handles of the decision nodes this function's graph contains."""
-        return _decision_nodes(self.space._nodes, (self._handle,))
+        return set(_decision_nodes(self.space._nodes, (self._handle,)))
 
-    def support(self) -> frozenset[int]:
-        """Indices of the variables the function actually depends on."""
+    def support(self, most: Optional[int] = None) -> frozenset[int]:
+        """Indices of the variables the function actually depends on.
+
+        A caller that knows the support holds at most ``most`` variables
+        may pass that bound: the walk then stops once it has found that
+        many.
+        """
         nodes = self.space._nodes
-        return frozenset(nodes[handle][0] for handle in self._reachable())
+        levels: set[int] = set()
+        for handle in _decision_nodes(nodes, (self._handle,)):
+            levels.add(nodes[handle][0])
+            if len(levels) == most:
+                break
+        return frozenset(levels)
 
     def node_count(self) -> int:
         """Number of decision nodes in the representation (constants: 0)."""

@@ -9,15 +9,16 @@ For this single-point map the rewrite has a closed form,
 
     g o pi == ite(f, g, g restricted to supp(t) = p),
 
-so a step costs one cube restriction and one ite per factor, and the
-substitution vector is never built.  Only the factors whose variables
-meet the pinned cube are rewritten: a factor g that tests none of them
-is its own restriction, and ite(f, g, g) == g, so skipping it is
-exact.  Each factor carries a bit mask of the variables it may depend
-on, widened by the frozen factor's mask at every rewrite, since
+so the substitution vector is never built.  Only the factors whose
+variables meet the pinned cube are rewritten: a factor g that tests
+none of them is its own restriction, and ite(f, g, g) == g, so skipping
+it is exact.  Each factor carries a bit mask of the variables it may
+depend on, widened by the frozen factor's mask at every rewrite, since
 ite(f, g, g restricted) depends on nothing outside supp(f) | supp(g);
 a mask that holds more than the support only costs a rewrite that
-returns the factor unchanged.  Each step's record holds the frozen
+returns the factor unchanged.  The target's mask also bounds its
+support, so the walk that reads supp(t) stops once it has found as
+many variables as the mask holds.  Each step's record holds the frozen
 factor and the pinned cube supp(t) = p, which together determine the
 map; p itself is the cube with 0 everywhere else, since the off-point
 walk sets a bit only on t's path, which lies inside supp(t).  Because
@@ -44,13 +45,27 @@ below P_{i-1} and, agreeing with C_i there, is P_i.  A rewrite
 ite(f, g, ...) keeps g on the ON-set of f == P_i, which carries the
 agreement to step i + 1.
 
+A corollary gives the rewrite solve() makes: on the ON-set of the
+frozen f == P_i each unfrozen w_j equals its clause C_j, so
+
+    ite(f, w_j, w_j restricted) == ite(f, C_j, w_j restricted),
+
+and the then-branch is the clause, a chain of one node per literal,
+instead of the factor.  BoolSpace.projective_cofactors makes every
+rewrite of a step in one call on raw handles: a factor whose path
+through the pinned levels ends in a constant takes that constant, its
+value at the off-point, and the others share one restriction walk.
+Only the then-branch changes: the pins and the restriction still come
+from the reduced factor (see the warning at the end).
+
 Each step leaves the old versions of the factors it rewrote behind in
-the space's tables, so solve() ends every step with
-space.collect(working).  The factors alone are roots enough: solve()
-builds the space, and until it returns every function in use is in
-working, the frozen factors that the step records hold among them,
-so no reference counts are needed.  A sweep keeps each live handle,
-and the records stay == to anything built later in the same space.
+the space's tables, so solve() ends every step with a space.collect()
+whose roots are the factors and the clauses, still in use as
+then-branches.  They are roots enough: solve() builds the space, and
+until it returns every function in use is among them, the frozen
+factors that the step records hold included, so no reference counts
+are needed.  A sweep keeps each live handle, and the records stay ==
+to anything built later in the same space.
 
 Any clause order gives a final factor == to the conjunction, so the
 order moves only the steps.  The default, bottom-up, is the bucket
@@ -70,7 +85,8 @@ Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
 after which the product is no longer preserved and the verdict can be
 wrong.  See tests/test_solver.py for a four-clause instance that
-trips the original-clause variant.
+trips the original-clause variant.  The clause is safe only as the
+then-branch, where the prefix rule makes it equal to the factor.
 """
 
 from __future__ import annotations
@@ -102,7 +118,8 @@ class StepRecord:
     projection.  ``pins`` is None for a skipped tautology.  By the
     prefix rule of the module docstring, the record at position i holds
     the conjunction of the first i + 1 clauses in solve order, or
-    constant 1 when it has no pins.
+    constant 1 when it has no pins; each remaining factor g the pins
+    reach became ite(func, C, g restricted by pins), C being its clause.
 
     ``remaining_before`` and ``remaining_after`` are the decision nodes
     in the space's unique table when the step starts and after its
@@ -185,7 +202,8 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
     if key is not None:
         live = sorted(live, key=key)
 
-    working = [clause_to_func(c, space) for c in live] or [space.true]
+    clauses = [clause_to_func(c, space) for c in live] or [space.true]
+    working = list(clauses)
     k = len(working)
     # one bit per variable a factor may depend on: a clause depends on
     # every variable it names (each once, as duplicates are dropped and
@@ -200,25 +218,28 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
         if current == space.true:
             steps.append(StepRecord(before, before, current, None))
             continue
-        target = next((working[j] for j in range(i + 1, k)
+        target = next((j for j in range(i + 1, k)
                        if working[j] != space.true), None)
         if target is None:
             break
-        off = target.any_off_point()
-        cube = {v: off[v] for v in target.support()}
+        t = working[target]
+        off = t.any_off_point()
+        cube = {v: off[v] for v in t.support(most=masks[target].bit_count())}
         # a factor the cube does not reach is its own restriction, and
-        # ite(f, g, g) == g, so only the factors it reaches are rewritten
+        # ite(f, g, g) == g, so only the factors it reaches are rewritten;
+        # on the ON-set of f each of them equals its clause, so the clause
+        # is the then-branch
         pinned = sum(1 << v for v in cube)
         touched = [j for j in range(i + 1, k) if masks[j] & pinned]
-        restricted = space.restrict([working[j] for j in touched], cube)
-        for j, cofactor in zip(touched, restricted):
-            func = working[j]
-            rewritten = space.ite(current, func, cofactor)
-            if rewritten != func:
-                working[j] = rewritten
+        rewritten = space.projective_cofactors(
+            current, [clauses[j] for j in touched],
+            [working[j] for j in touched], cube)
+        for j, func in zip(touched, rewritten):
+            if func != working[j]:
+                working[j] = func
                 masks[j] |= masks[i]
         steps.append(StepRecord(before, space.unique_nodes, current, cube))
-        space.collect(working)
+        space.collect(working + clauses)
     return SolveResult(steps, current)
 
 

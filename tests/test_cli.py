@@ -8,6 +8,7 @@ import io
 import json
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestExitCodes:
                                capsys=capsys)
         assert code == EXIT_ERROR
         assert err.startswith("error:")
+
+    def test_recursion_limit_is_named(self, tmp_path, capsys, monkeypatch):
+        def too_deep(formula, order):
+            raise RecursionError("maximum recursion depth exceeded in comparison")
+
+        monkeypatch.setattr("projsat.cli.solve", too_deep)
+        code, out, err = run_cli([], cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
+                                 capsys=capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: the decision diagrams of this 4-variable "
+                              "formula nest deeper than the Python recursion limit")
+        assert "maximum recursion depth" not in err
 
     def test_parse_error(self, tmp_path, capsys):
         code, _, err = run_cli([], cnf="p cnf 2 1\n1 worm 0\n",
@@ -265,6 +279,30 @@ class TestTraceMode:
                                tmp_path=tmp_path, capsys=capsys)
         assert code == EXIT_UNSAT
         assert out.splitlines()[-1] == "s UNSATISFIABLE"
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+class TestGoldenTraces:
+    # tests/data/golden holds seeded instances (random 3-SAT at n = 10
+    # and 12, an UNSAT draw, PHP(4, 3), a clause-shuffled 40-variable
+    # chain and a mix with tautologies) and their --mode trace output in
+    # each factor order, as written before the step rewrite became one
+    # engine call; the chain records must not move by a byte
+
+    @pytest.mark.parametrize("order", FACTOR_ORDERS)
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.cnf")))
+    def test_trace_matches_golden(self, name, order, capsys):
+        code = run(["--input", str(GOLDEN / f"{name}.cnf"), "--mode", "trace",
+                    "--order", order])
+        expected = (GOLDEN / f"{name}.{order}.trace").read_text()
+        assert capsys.readouterr().out == expected
+        assert code == (EXIT_SAT if "s SATISFIABLE" in expected else EXIT_UNSAT)
+
+    def test_every_golden_instance_is_pinned(self):
+        assert len(list(GOLDEN.glob("*.cnf"))) == 6
+        assert len(list(GOLDEN.glob("*.trace"))) == 6 * len(FACTOR_ORDERS)
 
 
 class TestAllMode:

@@ -19,7 +19,8 @@ from projsat import (
 )
 from projsat.oracle import tt_equal, tt_of_formula, tt_of_func
 
-from helpers import FOUR_VAR_SAT, TWO_VAR_UNSAT, clause_func, random_cnf
+from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, clause_func, random_clause,
+                     random_cnf)
 
 
 class TestLiteral:
@@ -199,6 +200,30 @@ class TestToFunc:
             direct = clause_func(s, formula.clauses[0])
             assert built == direct
             assert tt_equal(tt_of_func(built), tt_of_formula(formula))
+
+    def test_clause_is_one_chain_of_its_literals(self):
+        # equal to the OR-fold of the literal functions, one node per
+        # literal, whatever order the literals come in
+        rng = random.Random(34)
+        s = BoolSpace(8)
+        for _ in range(100):
+            clause = random_clause(8, rng, max_width=8)
+            built = clause_to_func(clause, s)
+            assert built == clause_func(s, clause)
+            assert built.node_count() == len(clause)
+
+    def test_constant_clauses(self):
+        s = BoolSpace(4)
+        for tokens in ([1, -1], [3, 2, -3], [-4, 1, 2, 4], [2, -1, 1, 3]):
+            assert clause_to_func(Clause.from_ints(tokens), s) == s.true
+        assert clause_to_func(Clause.from_ints([]), s).node_count() == 0
+
+    def test_clause_out_of_range_rejected(self):
+        s = BoolSpace(2)
+        with pytest.raises(ValueError):
+            clause_to_func(Clause.from_ints([1, 3]), s)
+        with pytest.raises(ValueError):
+            clause_to_func(Clause((Literal(-1),)), s)
 
     def test_empty_formula_is_one(self):
         s = BoolSpace(3)

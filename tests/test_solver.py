@@ -352,26 +352,23 @@ class TestUntouchedFactorsSkipped:
     # ite(f, g, g) == g, so a step rewrites only the factors it reaches
 
     def test_chain_step_rewrites_a_few_factors(self, monkeypatch):
-        counts = {"ite": 0, "restricted": 0}
-        ite, restrict = BoolSpace.ite, BoolSpace.restrict
+        counts = {"calls": 0, "rewritten": 0}
+        rewrite = BoolSpace.projective_cofactors
 
-        def counted_ite(space, *args):
-            counts["ite"] += 1
-            return ite(space, *args)
+        def counted(space, frozen, thens, funcs, assignment):
+            counts["calls"] += 1
+            counts["rewritten"] += len(funcs)
+            return rewrite(space, frozen, thens, funcs, assignment)
 
-        def counted_restrict(space, funcs, assignment):
-            counts["restricted"] += len(funcs)
-            return restrict(space, funcs, assignment)
-
-        monkeypatch.setattr(BoolSpace, "ite", counted_ite)
-        monkeypatch.setattr(BoolSpace, "restrict", counted_restrict)
+        monkeypatch.setattr(BoolSpace, "projective_cofactors", counted)
         formula, model = implication_chain(300, random.Random(117))
         res = solve(formula)
         assert res.witness == model
         assert len(res.steps) == 299
-        # every factor but the next two tests no pinned variable
-        assert counts["ite"] <= 3 * len(res.steps)
-        assert counts["restricted"] <= 3 * len(res.steps)
+        # one engine call per step, and every factor but the next two
+        # tests no pinned variable
+        assert counts["calls"] == len(res.steps)
+        assert counts["rewritten"] <= 3 * len(res.steps)
 
     def test_shuffled_chains_match_compose_path(self):
         # with the clauses shuffled and reduced in input order, frozen
@@ -386,6 +383,19 @@ class TestUntouchedFactorsSkipped:
                 steps, final = compose_path(formula, res.final.space, order)
                 assert res.steps == steps
                 assert res.final == final
+
+
+class TestDeepChains:
+    # _ite and the restriction walk recurse once per level they descend;
+    # in bottom-up order the frozen factors of a chain span every level
+    # below the step's clause
+
+    def test_shuffled_900_variable_chain(self):
+        formula, model = implication_chain(900, random.Random(124))
+        random.Random(124).shuffle(formula.clauses)
+        res = solve(formula)
+        assert res.witness == model
+        assert len(res.steps) == 899
 
 
 class TestFactorOrders:
