@@ -2,10 +2,15 @@
 
 Each clause becomes a symbolic factor.  The solver freezes the first
 factor, builds a projection that keeps its ON-set and aims everything
-else at the next factor's OFF-set, and rewrites the remaining factors
-through that map.  The product of the remaining factors never changes,
-so the last factor ends up canonically equal to the whole conjunction:
-satisfiability, witnesses, and solution counts drop out of it directly.
+else at the next factor's OFF-set, and in the paper rewrites the
+remaining factors through that map.  The product of the remaining
+factors never changes, so the last factor ends up canonically equal to
+the whole conjunction: satisfiability, witnesses, and solution counts
+drop out of it directly.  Each frozen factor printed below is the
+conjunction of the clauses reduced so far.  The solver itself rewrites
+nothing: it keeps each step's map, the frozen factor and the pinned
+off-point, and builds the next target from its clause and those maps
+only when it needs the target's OFF-set point.
 """
 
 from projsat import parse_dimacs

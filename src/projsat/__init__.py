@@ -4,9 +4,10 @@ and a chained-decomposition SAT solver.
 The engine gives canonical function objects, the cofactor and
 projection modules expose the interval algebra and region-pinning cube
 maps built on top of it, the solver decides CNF satisfiability by
-rewriting factors with closed-form projective cofactors into a final
-factor equal to the whole conjunction, and the oracle cross-checks all
-of it against exhaustive truth tables.  Witnesses and solution sets are
+chained closed-form projective cofactors, building each step's target
+from its clause and the earlier steps' maps, into a final factor equal
+to the whole conjunction, and the oracle cross-checks all of it
+against exhaustive truth tables.  Witnesses and solution sets are
 read from that final factor; above the oracle's variable cap,
 solver.oracle_check compares it with the direct conjunction instead.
 """

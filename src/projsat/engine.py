@@ -219,35 +219,6 @@ class BoolSpace:
                                                 deepest, memo))
                 for func in funcs]
 
-    def projective_cofactors(self, frozen: "BoolFunc",
-                             thens: Sequence["BoolFunc"],
-                             funcs: Sequence["BoolFunc"],
-                             assignment: Mapping[int, int]) -> list["BoolFunc"]:
-        """``ite(frozen, thens[j], funcs[j] restricted by the cube)`` per j.
-
-        One call for a whole solver step: the cube is the one of
-        :meth:`restrict`, and the restrictions share one walk, so a
-        subgraph the functions share is restricted once.  A function
-        whose path through the pinned levels ends in a constant takes
-        that constant without entering the walk.
-        """
-        self._check(frozen)
-        if len(thens) != len(funcs):
-            raise ValueError("one then-branch per function is needed")
-        for func in thens:
-            self._check(func)
-        for func in funcs:
-            self._check(func)
-        deepest = self._deepest_pin(assignment)
-        memo: dict[int, int] = {}
-        cond = frozen._handle
-        ite = self._ite
-        restricted = self._restricted
-        return [BoolFunc(self, ite(cond, then._handle,
-                                   restricted(func._handle, assignment,
-                                              deepest, memo)))
-                for then, func in zip(thens, funcs)]
-
     def collect(self, roots: Sequence["BoolFunc"]) -> None:
         """Sweep the nodes that no root reaches, once the table has grown.
 

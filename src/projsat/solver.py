@@ -1,33 +1,24 @@
 """SAT by chained projective-cofactor reduction.
 
-The solver keeps one symbolic factor per clause.  At step i the
-current factor f is frozen and a projection is chosen that pins f's
-ON-set and sends every other point to one OFF-set point p of the next
-remaining factor t (as it currently stands, after earlier
-reductions).  Every remaining factor g is rewritten through that map.
-For this single-point map the rewrite has a closed form,
+The paper keeps one symbolic factor per clause.  At step i the current
+factor f is frozen and a projection is chosen that pins f's ON-set and
+sends every other point to one OFF-set point p of the next remaining
+factor t (as it currently stands, after earlier reductions).  Every
+remaining factor g is rewritten through that map.  For this
+single-point map the rewrite has a closed form,
 
     g o pi == ite(f, g, g restricted to supp(t) = p),
 
-so the substitution vector is never built.  Only the factors whose
-variables meet the pinned cube are rewritten: a factor g that tests
-none of them is its own restriction, and ite(f, g, g) == g, so skipping
-it is exact.  Each factor carries a bit mask of the variables it may
-depend on, widened by the frozen factor's mask at every rewrite, since
-ite(f, g, g restricted) depends on nothing outside supp(f) | supp(g);
-a mask that holds more than the support only costs a rewrite that
-returns the factor unchanged.  The target's mask also bounds its
-support, so the walk that reads supp(t) stops once it has found as
-many variables as the mask holds.  Each step's record holds the frozen
-factor and the pinned cube supp(t) = p, which together determine the
-map; p itself is the cube with 0 everywhere else, since the off-point
-walk sets a bit only on t's path, which lies inside supp(t).  Because
-the product of the remaining factors is always bounded by the chosen
-target, each step preserves that product exactly; the final factor
-therefore equals the conjunction of the whole formula.  solve() only
-decides: the solution set is final.enumerate_on_set(), and
-oracle_check() compares the final factor with a reference built
-without the solver.
+so the substitution vector is never built.  Each step's record holds
+the frozen factor and the pinned cube supp(t) = p, which together
+determine the map; p itself is the cube with 0 everywhere else, since
+the off-point walk sets a bit only on t's path, which lies inside
+supp(t).  Because the product of the remaining factors is always
+bounded by the chosen target, each step preserves that product
+exactly; the final factor therefore equals the conjunction of the
+whole formula.  solve() only decides: the solution set is
+final.enumerate_on_set(), and oracle_check() compares the final factor
+with a reference built without the solver.
 
 The frozen factors are the prefixes of that conjunction.  With
 C_0, ..., C_{k-1} the non-tautological clauses in solve order and
@@ -45,27 +36,47 @@ below P_{i-1} and, agreeing with C_i there, is P_i.  A rewrite
 ite(f, g, ...) keeps g on the ON-set of f == P_i, which carries the
 agreement to step i + 1.
 
-A corollary gives the rewrite solve() makes: on the ON-set of the
-frozen f == P_i each unfrozen w_j equals its clause C_j, so
+A corollary: on the ON-set of each frozen factor every unfrozen
+factor equals its clause C, so with P_s and c_s the frozen factor and
+the pins of the s-th step that has pins, one factor evolves as
 
-    ite(f, w_j, w_j restricted) == ite(f, C_j, w_j restricted),
+    w^(0) == C,    w^(s+1) == ite(P_s, C, w^(s) restricted by c_s).
 
-and the then-branch is the clause, a chain of one node per literal,
-instead of the factor.  BoolSpace.projective_cofactors makes every
-rewrite of a step in one call on raw handles: a factor whose path
-through the pinned levels ends in a constant takes that constant, its
-value at the off-point, and the others share one restriction walk.
-Only the then-branch changes: the pins and the restriction still come
-from the reduced factor (see the warning at the end).
+Restriction by a cube A distributes over ite, and restricting g|c
+further by A is g restricted by c and A together, c winning on any
+variable both pin, since g|c no longer tests c's variables.  Unrolled:
 
-Each step leaves the old versions of the factors it rewrote behind in
-the space's tables, so solve() ends every step with a space.collect()
-whose roots are the factors and the clauses, still in use as
-then-branches.  They are roots enough: solve() builds the space, and
-until it returns every function in use is among them, the frozen
-factors that the step records hold included, so no reference counts
-are needed.  A sweep keeps each live handle, and the records stay ==
-to anything built later in the same space.
+    w^(s+1)|A == ite(P_s|A, C|A, w^(s)|(c_s and A)),    w^(0)|A == C|A.
+
+solve() therefore keeps no rewritten factors, only the clauses and one
+map (P_s, c_s) per step that has pins, and builds a factor when it is
+needed, by a walk from the newest map back with A empty at the start.
+The walk stops at the first level whose P_s|A is 1, where the value is
+C|A; a level whose P_s|A is 0 is the branch below it and is passed
+through; every other level is an ite of the result.  A factor is
+needed only as a candidate target: the search starts after the last
+target, and the first candidate that is not 1 is the target.  Those
+before it are 1 and stay 1, since ite(P, C, 1) == 1 when C is 1 on the
+ON-set of P, so their steps are skipped; and the target becomes
+
+    ite(f, C_t, t restricted by its own pins) == f & C_t,
+
+as t is 0 at the pinned point, which is the prefix rule again.  So
+each factor is built at most once per solve.  The pins and the
+off-point still come from the built target, never from its clause
+(see the warning at the end).  t depends on no variable outside its
+clause and the frozen factors, which conjoin the clauses up to the
+current step, so the walk that reads supp(t) stops once it has found
+as many variables as those clauses name.
+
+Each step leaves the functions it built behind in the space's tables,
+so solve() ends every step with a space.collect() whose roots are the
+frozen factors of the maps, the clauses and the next frozen factor.
+They are roots enough: solve() builds the space, and until it returns
+every function in use is among them, the frozen factors that the step
+records hold included, so no reference counts are needed.  A sweep
+keeps each live handle, and the records stay == to anything built
+later in the same space.
 
 Any clause order gives a final factor == to the conjunction, so the
 order moves only the steps.  The default, bottom-up, is the bucket
@@ -76,17 +87,19 @@ reduced first and ties keep input order.  input is the paper's order.
 
 The loop counts no nodes.  A record's remaining_before and
 remaining_after are the space's unique_nodes, the decision nodes in
-its table, read when the step starts and after its rewrites, before
-the sweep: the nodes of every factor still in use plus the garbage
-the next sweep may free.  factor_size, the frozen factor's node
-count, is counted when it is read.
+its table, read when the step starts and once the next frozen factor
+is built, before the sweep: the nodes of every function still in use
+plus the garbage the next sweep may free.  A skipped step reads both
+where the step before it read remaining_after.  factor_size, the
+frozen factor's node count, is counted when it is read.
 
 Targeting the factor as already reduced matters: aiming at the
 original clause instead lets a later factor drift above its clause,
 after which the product is no longer preserved and the verdict can be
 wrong.  See tests/test_solver.py for a four-clause instance that
-trips the original-clause variant.  The clause is safe only as the
-then-branch, where the prefix rule makes it equal to the factor.
+trips the original-clause variant.  The clause is safe only where the
+prefix rule makes it equal to the factor: as the then-branch, on the
+ON-set of a frozen factor.
 """
 
 from __future__ import annotations
@@ -112,19 +125,20 @@ class StepRecord:
     """One outer-loop step, at its factor's position in SolveResult.steps.
 
     ``func`` is the frozen factor and ``pins`` the cube
-    {v: p[v] for v in supp(t)} that the remaining factors were
-    restricted by off the frozen factor, p being the smallest OFF-set
-    point of the step's target t; together they determine the
-    projection.  ``pins`` is None for a skipped tautology.  By the
-    prefix rule of the module docstring, the record at position i holds
-    the conjunction of the first i + 1 clauses in solve order, or
-    constant 1 when it has no pins; each remaining factor g the pins
-    reach became ite(func, C, g restricted by pins), C being its clause.
+    {v: p[v] for v in supp(t)} that the step's map pins off the frozen
+    factor, p being the smallest OFF-set point of the step's target t;
+    together they determine the projection, which takes each remaining
+    factor g to ite(func, C, g restricted by pins), C being g's clause.
+    solve() builds a factor from its clause and these maps only when it
+    is a candidate target.  ``pins`` is None for a skipped step, whose
+    factor was 1.  By the prefix rule of the module docstring, the
+    record at position i holds the conjunction of the first i + 1
+    clauses in solve order, or constant 1 when it has no pins.
 
     ``remaining_before`` and ``remaining_after`` are the decision nodes
-    in the space's unique table when the step starts and after its
-    rewrites, before the sweep.  They record the space's history, not
-    the chain, so records compare equal without them.
+    in the space's unique table when the step starts and once the next
+    frozen factor is built, before the sweep.  They record the space's
+    history, not the chain, so records compare equal without them.
     """
 
     remaining_before: int = field(compare=False)
@@ -181,6 +195,34 @@ def bottom_up_key(clause: Clause) -> float:
 FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None}
 
 
+def _built(clause: BoolFunc,
+           maps: list[tuple[BoolFunc, dict[int, int]]]) -> BoolFunc:
+    """The factor of ``clause`` after every map in ``maps``, oldest first.
+
+    Each map is a pinned step's (frozen factor, pins).  The walk runs
+    from the newest map back and stops at the first frozen factor whose
+    restriction by the pins gathered so far is 1; a restriction that is
+    0 passes the walk through, and each other one is a level of the
+    result, in the unrolled recurrence of the module docstring.
+    """
+    space = clause.space
+    cube: dict[int, int] = {}
+    levels = []
+    for frozen, pins in reversed(maps):
+        cond, value = space.restrict((frozen, clause), cube)
+        if cond == space.true:
+            break
+        if cond != space.false:
+            levels.append((cond, value))
+        # the step's own pins win: its restriction no longer tests them
+        cube = {**cube, **pins}
+    else:
+        value = clause.restrict(cube)
+    for cond, then in reversed(levels):
+        value = space.ite(cond, then, value)
+    return value
+
+
 def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
     """Decide a CNF by chained projective reduction.
 
@@ -203,43 +245,40 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
         live = sorted(live, key=key)
 
     clauses = [clause_to_func(c, space) for c in live] or [space.true]
-    working = list(clauses)
-    k = len(working)
-    # one bit per variable a factor may depend on: a clause depends on
-    # every variable it names (each once, as duplicates are dropped and
-    # tautologies left out), and a rewrite adds the frozen factor's
-    masks = [sum(1 << lit.var for lit in c.literals) for c in live] or [0]
+    k = len(clauses)
+    # one bit per variable a clause names (each once, as duplicates are
+    # dropped and tautologies left out)
+    clause_vars = [sum(1 << lit.var for lit in c.literals) for c in live] or [0]
+    maps: list[tuple[BoolFunc, dict[int, int]]] = []
+    # the clauses and every frozen factor: each function still in use
+    roots = list(clauses)
     steps: list[StepRecord] = []
-    # every run ends in a break, leaving the final factor in current
-    for i, current in enumerate(working):
-        if not current.is_sat() or i == k - 1:
-            break
+    current, i, named = clauses[0], 0, clause_vars[0]
+    while current.is_sat() and i < k - 1:
         before = space.unique_nodes
-        if current == space.true:
-            steps.append(StepRecord(before, before, current, None))
-            continue
-        target = next((j for j in range(i + 1, k)
-                       if working[j] != space.true), None)
-        if target is None:
+        # the factors between a step and its target are 1, and stay 1
+        for target in range(i + 1, k):
+            t = _built(clauses[target], maps)
+            if t != space.true:
+                break
+        else:
             break
-        t = working[target]
         off = t.any_off_point()
-        cube = {v: off[v] for v in t.support(most=masks[target].bit_count())}
-        # a factor the cube does not reach is its own restriction, and
-        # ite(f, g, g) == g, so only the factors it reaches are rewritten;
-        # on the ON-set of f each of them equals its clause, so the clause
-        # is the then-branch
-        pinned = sum(1 << v for v in cube)
-        touched = [j for j in range(i + 1, k) if masks[j] & pinned]
-        rewritten = space.projective_cofactors(
-            current, [clauses[j] for j in touched],
-            [working[j] for j in touched], cube)
-        for j, func in zip(touched, rewritten):
-            if func != working[j]:
-                working[j] = func
-                masks[j] |= masks[i]
-        steps.append(StepRecord(before, space.unique_nodes, current, cube))
-        space.collect(working + clauses)
+        # t depends on no variable outside its clause and the frozen
+        # factors, which conjoin clauses up to i
+        for j in range(i + 1, target + 1):
+            named |= clause_vars[j]
+        cube = {v: off[v] for v in t.support(most=named.bit_count())}
+        # by the prefix rule, t becomes the frozen factor & its clause
+        frozen, current = current, current & clauses[target]
+        maps.append((frozen, cube))
+        roots.append(current)
+        after = space.unique_nodes
+        steps.append(StepRecord(before, after, frozen, cube))
+        steps += [StepRecord(after, after, space.true, None)
+                  for _ in range(i + 1, target)]
+        i = target
+        space.collect(roots)
     return SolveResult(steps, current)
 
 

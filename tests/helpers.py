@@ -122,18 +122,16 @@ def projection_pins(proj):
     return pins
 
 
-def compose_path(formula: CnfFormula, space: BoolSpace,
-                 factor_order="bottom-up"):
-    """The solver's loop with the general compose rewrite, as a reference.
+def _reference_path(formula: CnfFormula, space: BoolSpace, factor_order,
+                    step):
+    """The solver's loop over every remaining factor, as a reference.
 
-    Every remaining factor is composed with the full substitution vector
-    of the step's projection.  The factors come in solve()'s order of
-    the same name, solve()'s default included.  Returns the step records
-    and the final factor in the form solve() gives them, with 0 for the
-    table figures remaining_before and remaining_after, which record
-    equality leaves out; meant for formulas whose clauses are all
-    non-empty.  Each record's off-point, which the record derives from
-    its pins, is checked against the projection's own.
+    ``step(current, target, factors)`` returns the step's pins and every
+    remaining factor rewritten through its map.  Returns the step
+    records and the final factor in the form solve() gives them, with 0
+    for the table figures remaining_before and remaining_after, which
+    record equality leaves out; meant for formulas whose clauses are all
+    non-empty.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
     if factor_order == "bottom-up":
@@ -149,9 +147,68 @@ def compose_path(formula: CnfFormula, space: BoolSpace,
         target = next((f for f in working[i + 1:] if f != space.true), None)
         if target is None:
             break
-        proj = projection_for(current, target)
-        working[i + 1:] = [f.compose(proj.subst) for f in working[i + 1:]]
-        record = StepRecord(0, 0, current, projection_pins(proj))
-        assert record.off_point == proj.off_point
-        steps.append(record)
+        pins, working[i + 1:] = step(current, target, working[i + 1:])
+        steps.append(StepRecord(0, 0, current, pins))
     return steps, current
+
+
+def compose_path(formula: CnfFormula, space: BoolSpace,
+                 factor_order="bottom-up"):
+    """The solver's loop with the general compose rewrite, as a reference.
+
+    Every remaining factor is composed with the full substitution vector
+    of the step's projection.  The factors come in solve()'s order of
+    the same name, solve()'s default included.  Each record's off-point,
+    which the record derives from its pins, is checked against the
+    projection's own.
+    """
+    def step(current, target, factors):
+        proj = projection_for(current, target)
+        pins = projection_pins(proj)
+        assert StepRecord(0, 0, current, pins).off_point == proj.off_point
+        return pins, [f.compose(proj.subst) for f in factors]
+
+    return _reference_path(formula, space, factor_order, step)
+
+
+def eager_path(formula: CnfFormula, space: BoolSpace,
+               factor_order="bottom-up"):
+    """The solver's loop with every remaining factor rewritten eagerly.
+
+    Each step rewrites every remaining factor g as ite(f, g, g|cube),
+    the cube pinning the target's support to its smallest off-point:
+    the closed form of compose_path's rewrite, with the factor itself as
+    the then-branch and no factor skipped.  It reaches formulas too
+    large for compose_path.
+    """
+    def step(current, target, factors):
+        off = target.any_off_point()
+        pins = {v: off[v] for v in target.support()}
+        return pins, [space.ite(current, g, g.restrict(pins)) for g in factors]
+
+    return _reference_path(formula, space, factor_order, step)
+
+
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    """PHP(p, h): every pigeon sits in a hole, no hole holds two.
+
+    Variable q * h + i + 1 puts pigeon q in hole i; unsatisfiable
+    exactly when p > h.
+    """
+    def var(q, i):
+        return q * holes + i + 1
+
+    clauses = [Clause.from_ints([var(q, i) for i in range(holes)])
+               for q in range(pigeons)]
+    clauses += [Clause.from_ints([-var(a, i), -var(b, i)])
+                for i in range(holes)
+                for a in range(pigeons) for b in range(a + 1, pigeons)]
+    return CnfFormula(pigeons * holes, clauses)
+
+
+def random_3sat(n: int, ratio: float, rng: random.Random) -> CnfFormula:
+    """round(ratio * n) clauses of three distinct variables each."""
+    return CnfFormula(n, [
+        Clause(tuple(Literal(v, rng.random() < 0.5)
+                     for v in rng.sample(range(n), 3)))
+        for _ in range(round(ratio * n))])

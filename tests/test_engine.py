@@ -597,8 +597,7 @@ class TestReferenceCycles:
             s = BoolSpace(4)
             alive = weakref.ref(s)
             f = s.var(0) | s.var(2)
-            s.projective_cofactors(f, [s.var(1)], [s.var(1) ^ s.var(3)],
-                                   {1: 0, 3: 1})
+            s.ite(f, s.var(1), (s.var(1) ^ s.var(3)).restrict({1: 0, 3: 1}))
             s.restrict([f, s.var(3)], {2: 0})
             del s, f
             assert alive() is None
@@ -683,68 +682,6 @@ class TestCanonicity:
         assert len({a, b}) == 1
 
 
-class TestProjectiveCofactors:
-    # one call per solver step: ite(frozen, then, func restricted by the
-    # cube) for each pair, the restrictions sharing one walk
-
-    @settings(max_examples=150, deadline=None)
-    @given(ast_strategy,
-           st.lists(st.tuples(ast_strategy, ast_strategy), max_size=4),
-           st.dictionaries(st.integers(0, 4), st.integers(0, 1)))
-    def test_equals_one_ite_per_restriction(self, frozen, pairs, cube):
-        # the cube may be empty or pin every variable, and constant
-        # factors are added to every draw
-        s = BoolSpace(5)
-        cols = bit_columns(5)
-        f = interpret(s, cols, frozen)[0]
-        thens = [interpret(s, cols, then)[0] for then, _ in pairs]
-        funcs = [interpret(s, cols, func)[0] for _, func in pairs]
-        thens += [s.var(0), f, s.true]
-        funcs += [s.true, s.false, s.false]
-        expected = [s.ite(f, then, func.restrict(cube))
-                    for then, func in zip(thens, funcs)]
-        assert s.projective_cofactors(f, thens, funcs, cube) == expected
-
-    def test_a_factor_inside_the_cube_takes_its_value_there(self):
-        # every variable of each factor is pinned, so each restriction is
-        # the factor's value at the pinned point
-        rng = random.Random(26)
-        s = BoolSpace(6)
-        for _ in range(60):
-            f, _ = random_func(s, rng)
-            funcs = [random_func(s, rng)[0] for _ in range(3)]
-            point = tuple(rng.randint(0, 1) for _ in range(6))
-            cube = {v: point[v] for v in set().union(*(g.support() for g in funcs))}
-            thens = [random_func(s, rng)[0] for _ in funcs]
-            assert s.projective_cofactors(f, thens, funcs, cube) == [
-                s.ite(f, then, s.const(g(point))) for then, g in zip(thens, funcs)]
-
-    def test_a_constant_zero_target_pins_nothing(self):
-        # the solver's cube is the target's support at its off-point; a
-        # constant-0 target has none, and each rewrite is ite(f, c, g)
-        s = BoolSpace(3)
-        target = s.var(0) & ~s.var(0)
-        cube = {v: target.any_off_point()[v] for v in target.support()}
-        assert cube == {}
-        f, c, g = s.var(0) | s.var(1), s.var(2), s.var(1) ^ s.var(2)
-        assert s.projective_cofactors(f, [c], [g], cube) == [s.ite(f, c, g)]
-
-    def test_checks_its_arguments(self):
-        s, other = BoolSpace(3), BoolSpace(3)
-        f = s.var(0)
-        with pytest.raises(ValueError):
-            s.projective_cofactors(f, [f, f], [f], {0: 1})
-        with pytest.raises(ValueError):
-            s.projective_cofactors(other.var(0), [f], [f], {0: 1})
-        with pytest.raises(ValueError):
-            s.projective_cofactors(f, [f], [other.var(0)], {0: 1})
-        with pytest.raises(ValueError):
-            s.projective_cofactors(f, [f], [f], {3: 1})
-        with pytest.raises(TypeError):
-            s.projective_cofactors(f, [0], [f], {0: 1})
-        assert s.projective_cofactors(f, [], [], {0: 1}) == []
-
-
 class TestConcurrency:
     def test_parallel_construction_agrees_with_sequential(self):
         # a space is for one thread, so each thread builds in its own;
@@ -801,7 +738,7 @@ class TestDeepGraphs:
         f = above & literals[899]
         assert f.restrict({899: 0}) == s.false
         assert f.restrict({899: 1}) == above
-        assert s.projective_cofactors(s.false, [s.true], [f], {899: 1}) == [above]
+        assert s.restrict([s.false, f], {899: 1}) == [s.false, above]
 
 
 class TestRepr:

@@ -11,7 +11,6 @@ from projsat import (
     Clause,
     CnfFormula,
     EnumerationCapError,
-    Literal,
     SolveStatus,
     clause_to_func,
     formula_to_func,
@@ -21,7 +20,7 @@ from projsat import (
     solve,
     verify_projection,
 )
-from projsat import engine
+from projsat import engine, solver
 from projsat.oracle import MAX_TABLE_VARS, tt_of_formula
 from projsat.solver import FACTOR_ORDERS, bottom_up_key
 
@@ -29,7 +28,10 @@ from helpers import (
     FOUR_VAR_SAT,
     TWO_VAR_UNSAT,
     compose_path,
+    eager_path,
     implication_chain,
+    pigeonhole,
+    random_3sat,
     random_clause,
     random_cnf,
     random_func,
@@ -43,6 +45,39 @@ def fresh_pair(s, rng):
         target, _ = random_func(s, rng)
         if target != s.true:
             return fixed, target
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Each factor solve() builds: its clause and the walk's levels.
+
+    A level is the frozen factor of one map walked, as restricted by the
+    pins gathered above it: 1 ends the walk, 0 passes it through and
+    any other function is a level of the built factor.
+    """
+    log = []
+    building = []
+    built, restrict = solver._built, BoolSpace.restrict
+
+    def logged_built(clause, maps):
+        walk = []
+        log.append((clause, walk))
+        building.append(walk)
+        try:
+            return built(clause, maps)
+        finally:
+            building.pop()
+
+    def logged_restrict(space, funcs, assignment):
+        out = restrict(space, funcs, assignment)
+        # each map walked restricts its frozen factor and the clause
+        if building and len(funcs) == 2:
+            building[-1].append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_built", logged_built)
+    monkeypatch.setattr(BoolSpace, "restrict", logged_restrict)
+    return log
 
 
 class TestProjectiveCofactor:
@@ -348,32 +383,35 @@ class TestClosedFormRewrite:
 
 
 class TestUntouchedFactorsSkipped:
-    # a factor that tests no pinned variable is its own restriction and
-    # ite(f, g, g) == g, so a step rewrites only the factors it reaches
+    # solve() rewrites no factor: it builds each candidate target once,
+    # from its clause and the maps of the steps so far, and a factor it
+    # never aims at is never built
 
-    def test_chain_step_rewrites_a_few_factors(self, monkeypatch):
-        counts = {"calls": 0, "rewritten": 0}
-        rewrite = BoolSpace.projective_cofactors
-
-        def counted(space, frozen, thens, funcs, assignment):
-            counts["calls"] += 1
-            counts["rewritten"] += len(funcs)
-            return rewrite(space, frozen, thens, funcs, assignment)
-
-        monkeypatch.setattr(BoolSpace, "projective_cofactors", counted)
-        formula, model = implication_chain(300, random.Random(117))
-        res = solve(formula)
-        assert res.witness == model
-        assert len(res.steps) == 299
-        # one engine call per step, and every factor but the next two
-        # tests no pinned variable
-        assert counts["calls"] == len(res.steps)
-        assert counts["rewritten"] <= 3 * len(res.steps)
+    def test_each_factor_is_built_at_most_once(self, builds):
+        # the 100 formulas of acceptance criterion 7 in every order, and
+        # a 300-variable chain, where each build walks at most 3 maps
+        rng = random.Random(0xACC7)
+        formulas = [random_cnf(rng) for _ in range(100)]
+        chain, model = implication_chain(300, random.Random(117))
+        formulas.append(chain)
+        for formula in formulas:
+            for order in FACTOR_ORDERS:
+                del builds[:]
+                res = solve(formula, factor_order=order)
+                clauses = [id(clause) for clause, _ in builds]
+                assert len(set(clauses)) == len(clauses)
+                # every target is built, once
+                pinned = sum(step.pins is not None for step in res.steps)
+                assert len(builds) >= pinned
+                if formula is chain:
+                    assert res.witness == model
+                    assert len(res.steps) == 299
+                    assert max(len(walk) for _, walk in builds) <= 3
 
     def test_shuffled_chains_match_compose_path(self):
         # with the clauses shuffled and reduced in input order, frozen
-        # factors spread over many variables, so the solver's support
-        # masks over-approximate; the default order undoes the shuffle
+        # factors spread over many variables, and the walk that builds a
+        # target passes many maps; the default order undoes the shuffle
         for n, seed in ((48, 118), (60, 119)):
             formula, model = implication_chain(n, random.Random(seed))
             random.Random(seed).shuffle(formula.clauses)
@@ -383,6 +421,30 @@ class TestUntouchedFactorsSkipped:
                 steps, final = compose_path(formula, res.final.space, order)
                 assert res.steps == steps
                 assert res.final == final
+
+
+class TestEagerReference:
+    # eager_path rewrites every remaining factor at every step, as
+    # ite(f, g, g|cube), and reaches formulas beyond compose_path
+
+    def test_steps_match_the_eager_loop(self, builds):
+        # random 3-SAT at n = 12 to 24 and PHP(4,3) to PHP(6,5), in every
+        # order; the walks meet levels where a restricted frozen factor
+        # is 0 and builds with two or more non-constant levels
+        rng = random.Random(127)
+        formulas = [random_3sat(n, ratio, rng) for n, ratio in (
+            (12, 5), (15, 4.5), (18, 4), (21, 3.5), (24, 3))]
+        formulas += [pigeonhole(p, p - 1) for p in (4, 5, 6)]
+        for formula in formulas:
+            for order in FACTOR_ORDERS:
+                res = solve(formula, factor_order=order)
+                steps, final = eager_path(formula, res.final.space, order)
+                assert res.steps == steps
+                assert res.final == final
+        levels = [[cond for cond in walk if cond.is_sat()
+                   and cond != cond.space.true] for _, walk in builds]
+        assert any(len(found) >= 2 for found in levels)
+        assert any(not cond.is_sat() for _, walk in builds for cond in walk)
 
 
 class TestDeepChains:
@@ -428,9 +490,9 @@ class TestFactorOrders:
 
     def test_bottom_up_keeps_a_shuffled_chain_small(self):
         # in input order the clause-shuffled 300-variable chain starts a
-        # step with up to 87,628 nodes in its table (292 per variable);
+        # step with up to 59,476 nodes in its table (198 per variable);
         # bottom-up undoes the shuffle and stays within ten per variable
-        # (2,685 here), below the sweep floor, so no sweep blurs it
+        # (2,383 here), below the sweep floor, so no sweep blurs it
         n = 300
         formula, model = implication_chain(n, random.Random(122))
         random.Random(122).shuffle(formula.clauses)
@@ -624,11 +686,7 @@ class TestOracleCheck:
         # fraction of the solve; dropping a clause that counts makes a
         # wrong final the check refuses
         n = MAX_TABLE_VARS + 2
-        rng = random.Random(124)
-        formula = CnfFormula(n, [
-            Clause(tuple(Literal(v, rng.random() < 0.5)
-                         for v in rng.sample(range(n), 3)))
-            for _ in range(round(4.26 * n))])
+        formula = random_3sat(n, 4.26, random.Random(124))
         final = solve(formula).final
         assert "direct conjunction" in oracle_check(formula, final)
         for dropped in range(len(formula.clauses)):
