@@ -12,7 +12,7 @@ by one numpy descent over the function's nodes, level by level.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from operator import eq
 from typing import Optional, Union
 
@@ -93,8 +93,21 @@ class PointRows(Sequence):
         return f"PointRows([{shown}{more}])"
 
 
-def _decision_nodes(nodes: list, roots: Sequence[int]) -> Iterator[int]:
-    """Each decision node reachable from the root handles, once."""
+def mask_levels(mask: int) -> list[int]:
+    """The indices of the bits set in ``mask``, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def mask_point(bits: int, var_count: int) -> tuple[int, ...]:
+    """The n-bit point whose variable i is bit i of ``bits``."""
+    point = [0] * var_count
+    for i in mask_levels(bits):
+        point[i] = 1
+    return tuple(point)
+
+
+def _decision_nodes(nodes: list, roots: Sequence[int]) -> set[int]:
+    """The decision nodes reachable from the root handles."""
     # only decision nodes are pushed, each once: marked when pushed
     seen = {root for root in roots if root >= 2}
     mark = seen.add
@@ -102,15 +115,14 @@ def _decision_nodes(nodes: list, roots: Sequence[int]) -> Iterator[int]:
     push = stack.append
     pop = stack.pop
     while stack:
-        handle = pop()
-        yield handle
-        _, lo, hi = nodes[handle]
+        _, lo, hi = nodes[pop()]
         if lo >= 2 and lo not in seen:
             mark(lo)
             push(lo)
         if hi >= 2 and hi not in seen:
             mark(hi)
             push(hi)
+    return seen
 
 
 class BoolSpace:
@@ -126,8 +138,12 @@ class BoolSpace:
     and ``(n, 1, 1)``: each is its own child at level n, below every
     variable.  Decision nodes follow from handle 2 on, each numbered
     after its children, so ascending handles list children first.
-    :meth:`collect` sets the row of each node it sweeps to None, and a
-    handle is never reused, so that order holds after a sweep too.
+    ``_masks[h]`` is the support of handle h as a bit mask, bit i for
+    variable i: 0 for the constants, and ``_masks[lo] | _masks[hi] |
+    1 << level`` for a decision node, set once when the node is made,
+    since a node never changes.  :meth:`collect` sets the row and the
+    mask of each node it sweeps to None, and a handle is never reused,
+    so that order holds after a sweep too.
     """
 
     def __init__(self, variables: Union[int, Sequence[str]]):
@@ -144,6 +160,9 @@ class BoolSpace:
         n = len(names)
         self._nodes: list[Optional[tuple[int, int, int]]] = [
             (n, _FALSE, _FALSE), (n, _TRUE, _TRUE)]
+        self._masks: list[Optional[int]] = [0, 0]
+        # the mask of each variable alone, made once
+        self._level_bits = [1 << i for i in range(n)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         # decision nodes left by the last sweep
@@ -211,12 +230,35 @@ class BoolSpace:
         :meth:`BoolFunc.restrict` does, for every function in
         ``funcs``; a subgraph they share is restricted once.
         """
+        n = len(self._names)
+        mask = bits = 0
+        for index, bit in assignment.items():
+            if not 0 <= index < n:
+                raise ValueError("variable index out of range")
+            mask |= self._level_bits[index]
+            if bit:
+                bits |= self._level_bits[index]
+        return self.restrict_bits(funcs, mask, bits)
+
+    def restrict_bits(self, funcs: Sequence["BoolFunc"], mask: int,
+                      bits: int) -> list["BoolFunc"]:
+        """Like :meth:`restrict`, the cube given as two masks.
+
+        Pins each variable i whose bit is set in ``mask`` to bit i of
+        ``bits``; bits outside ``mask`` are ignored.
+        """
+        if mask < 0 or bits < 0 or mask.bit_length() > len(self._names):
+            raise ValueError("variable index out of range")
         for func in funcs:
             self._check(func)
-        deepest = self._deepest_pin(assignment)
+        # one character per level, constants' level n included: pinned
+        # reads "1" at a pinned level, and value reads its bit there
+        width = len(self._names) + 1
+        pinned = f"{mask:0{width}b}"[::-1]
+        value = f"{bits:0{width}b}"[::-1]
         memo: dict[int, int] = {}
-        return [BoolFunc(self, self._restricted(func._handle, assignment,
-                                                deepest, memo))
+        return [BoolFunc(self, self._restricted(func._handle, mask, pinned,
+                                                value, memo))
                 for func in funcs]
 
     def collect(self, roots: Sequence["BoolFunc"]) -> None:
@@ -227,18 +269,19 @@ class BoolSpace:
         happens until the unique table holds at least twice the nodes
         the last sweep kept, and at least ``_COLLECT_FLOOR``.  A sweep
         keeps every node reachable from a root under its handle, sets
-        the rows of the others to None and empties the computed table,
-        whose entries may name them.
+        the rows and masks of the others to None and empties the
+        computed table, whose entries may name them.
         """
         if len(self._unique) < max(_COLLECT_FLOOR, 2 * self._live_after_sweep):
             return
         for func in roots:
             self._check(func)
-        nodes = self._nodes
-        marked = set(_decision_nodes(nodes, [func._handle for func in roots]))
+        nodes, masks = self._nodes, self._masks
+        marked = _decision_nodes(nodes, [func._handle for func in roots])
         for handle in self._unique.values():
             if handle not in marked:
                 nodes[handle] = None
+                masks[handle] = None
         self._unique = {nodes[handle]: handle for handle in marked}
         self._ite_cache = {}
         self._live_after_sweep = len(marked)
@@ -259,59 +302,55 @@ class BoolSpace:
         if handle is None:
             handle = len(self._nodes)
             self._nodes.append(key)
+            masks = self._masks
+            masks.append(masks[lo] | masks[hi] | self._level_bits[level])
             self._unique[key] = handle
         return handle
 
-    def _deepest_pin(self, assignment: Mapping[int, int]) -> int:
-        """The deepest pinned level (-1: none), every pin checked in range."""
-        if not assignment:
-            return -1
-        deepest = max(assignment)
-        if min(assignment) < 0 or deepest >= len(self._names):
-            raise ValueError("variable index out of range")
-        return deepest
+    def _restricted(self, handle: int, mask: int, pinned: str, value: str,
+                    memo: dict[int, int]) -> int:
+        """The handle with each variable in ``mask`` pinned to its bit.
 
-    def _restricted(self, handle: int, assignment: Mapping[int, int],
-                    deepest: int, memo: dict[int, int]) -> int:
-        """The handle with every variable in ``assignment`` pinned.
-
-        Pinned levels are followed as a path, without recursion, and a
-        node below ``deepest`` (a constant among them) comes back
-        unchanged, so the recursion depth is bounded by the unpinned
-        levels above the deepest pin.  ``memo`` maps each handle already
-        restricted to its result and may be shared across calls with the
-        same cube.
+        ``pinned`` and ``value`` spell ``mask`` and the bits out per
+        level, as :meth:`restrict_bits` makes them.  Pinned levels are
+        followed as a path, without recursion, and a node whose support
+        misses ``mask`` (a constant among them) comes back unchanged, so
+        the recursion depth is bounded by the unpinned levels above the
+        deepest pin.  ``memo`` maps each handle already restricted to its
+        result and may be shared across calls with the same cube.
         """
+        masks = self._masks
+        if not masks[handle] & mask:
+            return handle
         nodes = self._nodes
         level, lo, hi = nodes[handle]
-        while level <= deepest:
-            bit = assignment.get(level)
-            if bit is None:
-                break
-            handle = hi if bit else lo
+        while pinned[level] == "1":
+            handle = hi if value[level] == "1" else lo
             level, lo, hi = nodes[handle]
-        else:
-            # below every pin, a constant among them: unchanged
+        if not masks[handle] & mask:
             return handle
         result = memo.get(handle)
         if result is None:
             result = self._mk(level,
-                              self._restricted(lo, assignment, deepest, memo),
-                              self._restricted(hi, assignment, deepest, memo))
+                              self._restricted(lo, mask, pinned, value, memo),
+                              self._restricted(hi, mask, pinned, value, memo))
             memo[handle] = result
         return result
 
     def _ite(self, cond: int, yes: int, no: int) -> int:
-        if cond == _TRUE:
+        # the constants are written as the literals 0 and 1 here, which
+        # this hot path loads faster than the module's _FALSE and _TRUE
+        if cond == 1:
             return yes
-        if cond == _FALSE:
+        if cond == 0:
             return no
         if yes == no:
             return yes
-        if yes == _TRUE and no == _FALSE:
+        if yes == 1 and no == 0:
             return cond
         key = (cond, yes, no)
-        hit = self._ite_cache.get(key)
+        cache = self._ite_cache
+        hit = cache.get(key)
         if hit is not None:
             return hit
         nodes = self._nodes
@@ -333,19 +372,19 @@ class BoolSpace:
             n_lo = n_hi = no
         # the terminal cases of each branch are settled here, as at the
         # top, without a call
-        if c_lo == _TRUE:
+        if c_lo == 1:
             lo = y_lo
-        elif c_lo == _FALSE or y_lo == n_lo:
+        elif c_lo == 0 or y_lo == n_lo:
             lo = n_lo
-        elif y_lo == _TRUE and n_lo == _FALSE:
+        elif y_lo == 1 and n_lo == 0:
             lo = c_lo
         else:
             lo = self._ite(c_lo, y_lo, n_lo)
-        if c_hi == _TRUE:
+        if c_hi == 1:
             hi = y_hi
-        elif c_hi == _FALSE or y_hi == n_hi:
+        elif c_hi == 0 or y_hi == n_hi:
             hi = n_hi
-        elif y_hi == _TRUE and n_hi == _FALSE:
+        elif y_hi == 1 and n_hi == 0:
             hi = c_hi
         else:
             hi = self._ite(c_hi, y_hi, n_hi)
@@ -354,12 +393,15 @@ class BoolSpace:
             result = lo
         else:
             node = (level, lo, hi)
-            result = self._unique.get(node)
+            unique = self._unique
+            result = unique.get(node)
             if result is None:
                 result = len(nodes)
                 nodes.append(node)
-                self._unique[node] = result
-        self._ite_cache[key] = result
+                masks = self._masks
+                masks.append(masks[lo] | masks[hi] | self._level_bits[level])
+                unique[node] = result
+        cache[key] = result
         return result
 
     def __repr__(self) -> str:
@@ -447,47 +489,47 @@ class BoolFunc:
 
     def any_on_point(self) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest point mapped to 1, or None if none."""
-        return self._first_point_avoiding(_FALSE)
+        bits = self._first_bits_avoiding(_FALSE)
+        return None if bits is None else mask_point(bits, self.space.var_count)
 
     def any_off_point(self) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest point mapped to 0, or None if none."""
-        return self._first_point_avoiding(_TRUE)
+        bits = self.off_bits()
+        return None if bits is None else mask_point(bits, self.space.var_count)
 
-    def _first_point_avoiding(self, away: int) -> Optional[tuple[int, ...]]:
+    def off_bits(self) -> Optional[int]:
+        """:meth:`any_off_point` as an int, bit i for variable i."""
+        return self._first_bits_avoiding(_TRUE)
+
+    def _first_bits_avoiding(self, away: int) -> Optional[int]:
         # every decision node reaches both constants, so the low branch
         # leads to the other constant unless it is ``away`` itself
         if self._handle == away:
             return None
         nodes = self.space._nodes
-        point = [0] * self.space.var_count
+        # bit i of the point is bit i % 8 of byte i // 8
+        point = bytearray((self.space.var_count + 7) // 8)
         handle = self._handle
         while handle >= 2:
             level, lo, hi = nodes[handle]
             if lo == away:
-                point[level] = 1
+                point[level >> 3] |= 1 << (level & 7)
                 handle = hi
             else:
                 handle = lo
-        return tuple(point)
+        return int.from_bytes(point, "little")
 
     def _reachable(self) -> set[int]:
         """Handles of the decision nodes this function's graph contains."""
-        return set(_decision_nodes(self.space._nodes, (self._handle,)))
+        return _decision_nodes(self.space._nodes, (self._handle,))
 
-    def support(self, most: Optional[int] = None) -> frozenset[int]:
-        """Indices of the variables the function actually depends on.
+    def support_mask(self) -> int:
+        """The variables the function depends on, bit i for variable i."""
+        return self.space._masks[self._handle]
 
-        A caller that knows the support holds at most ``most`` variables
-        may pass that bound: the walk then stops once it has found that
-        many.
-        """
-        nodes = self.space._nodes
-        levels: set[int] = set()
-        for handle in _decision_nodes(nodes, (self._handle,)):
-            levels.add(nodes[handle][0])
-            if len(levels) == most:
-                break
-        return frozenset(levels)
+    def support(self) -> frozenset[int]:
+        """Indices of the variables the function actually depends on."""
+        return frozenset(mask_levels(self.support_mask()))
 
     def node_count(self) -> int:
         """Number of decision nodes in the representation (constants: 0)."""

@@ -64,10 +64,14 @@ ON-set of P, so their steps are skipped; and the target becomes
 as t is 0 at the pinned point, which is the prefix rule again.  So
 each factor is built at most once per solve.  The pins and the
 off-point still come from the built target, never from its clause
-(see the warning at the end).  t depends on no variable outside its
-clause and the frozen factors, which conjoin the clauses up to the
-current step, so the walk that reads supp(t) stops once it has found
-as many variables as those clauses name.
+(see the warning at the end).  Both are ints, bit v for variable v:
+supp(t) is the support mask the space keeps for t's root, set when
+that node was made, so reading it walks nothing, and the off-point
+walk sets the bits of p, which all lie inside supp(t).  The walk that
+builds a factor gathers its cube A as two such ints too, the mask of
+the pinned variables and their bits, and adds the cube (support, p) of
+a map with the map's pins winning: bits = (bits & ~support) | p and
+mask |= support.
 
 Each step leaves the functions it built behind in the space's tables,
 so solve() ends every step with a space.collect() whose roots are the
@@ -109,7 +113,7 @@ from enum import Enum
 from typing import Optional
 
 from .cnf import Clause, CnfFormula, clause_to_func, formula_to_func
-from .engine import BoolFunc, BoolSpace
+from .engine import BoolFunc, BoolSpace, mask_levels, mask_point
 from .oracle import MAX_TABLE_VARS, tt_equal, tt_of_formula, tt_of_func
 # projection_for is unused here; bench/tracing.py wraps it under this name
 from .projections import projection_for
@@ -124,13 +128,15 @@ class SolveStatus(str, Enum):
 class StepRecord:
     """One outer-loop step, at its factor's position in SolveResult.steps.
 
-    ``func`` is the frozen factor and ``pins`` the cube
-    {v: p[v] for v in supp(t)} that the step's map pins off the frozen
-    factor, p being the smallest OFF-set point of the step's target t;
-    together they determine the projection, which takes each remaining
-    factor g to ite(func, C, g restricted by pins), C being g's clause.
-    solve() builds a factor from its clause and these maps only when it
-    is a candidate target.  ``pins`` is None for a skipped step, whose
+    ``func`` is the frozen factor, and ``support`` and ``bits`` are the
+    cube supp(t) = p that the step's map pins off the frozen factor, p
+    being the smallest OFF-set point of the step's target t: bit v of
+    ``support`` is set for each v in supp(t), and bit v of ``bits`` is
+    p[v], which is 0 outside supp(t).  Together they determine the
+    projection, which takes each remaining factor g to ite(func, C, g
+    restricted by the cube), C being g's clause.  solve() builds a
+    factor from its clause and these maps only when it is a candidate
+    target.  ``support`` and ``bits`` are None for a skipped step, whose
     factor was 1.  By the prefix rule of the module docstring, the
     record at position i holds the conjunction of the first i + 1
     clauses in solve order, or constant 1 when it has no pins.
@@ -144,13 +150,33 @@ class StepRecord:
     remaining_before: int = field(compare=False)
     remaining_after: int = field(compare=False)
     func: BoolFunc
-    pins: Optional[dict[int, int]]
+    support: Optional[int]
+    bits: Optional[int]
+
+    @classmethod
+    def from_pins(cls, remaining_before: int, remaining_after: int,
+                  func: BoolFunc,
+                  pins: Optional[dict[int, int]]) -> "StepRecord":
+        """The record whose cube is ``pins``, {v: bit} (None: skipped)."""
+        if pins is None:
+            return cls(remaining_before, remaining_after, func, None, None)
+        support = sum(1 << v for v in pins)
+        bits = sum(1 << v for v, bit in pins.items() if bit)
+        return cls(remaining_before, remaining_after, func, support, bits)
 
     @property
     def off_point(self) -> Optional[tuple[int, ...]]:
-        """The target's off-point p: the pins, 0 elsewhere (None if no pins)."""
-        pins, n = self.pins, self.func.space.var_count
-        return None if pins is None else tuple(pins.get(v, 0) for v in range(n))
+        """The target's off-point p (None if no pins)."""
+        if self.bits is None:
+            return None
+        return mask_point(self.bits, self.func.space.var_count)
+
+    @property
+    def pins(self) -> Optional[dict[int, int]]:
+        """The cube as {v: p[v] for v in supp(t)} (None if no pins)."""
+        if self.support is None:
+            return None
+        return {v: self.bits >> v & 1 for v in mask_levels(self.support)}
 
     @property
     def factor_size(self) -> int:
@@ -196,28 +222,30 @@ FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None}
 
 
 def _built(clause: BoolFunc,
-           maps: list[tuple[BoolFunc, dict[int, int]]]) -> BoolFunc:
+           maps: list[tuple[BoolFunc, int, int]]) -> BoolFunc:
     """The factor of ``clause`` after every map in ``maps``, oldest first.
 
-    Each map is a pinned step's (frozen factor, pins).  The walk runs
-    from the newest map back and stops at the first frozen factor whose
-    restriction by the pins gathered so far is 1; a restriction that is
-    0 passes the walk through, and each other one is a level of the
-    result, in the unrolled recurrence of the module docstring.
+    Each map is a pinned step's (frozen factor, support, bits).  The
+    walk runs from the newest map back and stops at the first frozen
+    factor whose restriction by the pins gathered so far is 1; a
+    restriction that is 0 passes the walk through, and each other one is
+    a level of the result, in the unrolled recurrence of the module
+    docstring.
     """
     space = clause.space
-    cube: dict[int, int] = {}
+    mask = bits = 0
     levels = []
-    for frozen, pins in reversed(maps):
-        cond, value = space.restrict((frozen, clause), cube)
+    for frozen, pinned, pinned_bits in reversed(maps):
+        cond, value = space.restrict_bits((frozen, clause), mask, bits)
         if cond == space.true:
             break
         if cond != space.false:
             levels.append((cond, value))
         # the step's own pins win: its restriction no longer tests them
-        cube = {**cube, **pins}
+        bits = (bits & ~pinned) | pinned_bits
+        mask |= pinned
     else:
-        value = clause.restrict(cube)
+        value = space.restrict_bits((clause,), mask, bits)[0]
     for cond, then in reversed(levels):
         value = space.ite(cond, then, value)
     return value
@@ -246,14 +274,11 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
 
     clauses = [clause_to_func(c, space) for c in live] or [space.true]
     k = len(clauses)
-    # one bit per variable a clause names (each once, as duplicates are
-    # dropped and tautologies left out)
-    clause_vars = [sum(1 << lit.var for lit in c.literals) for c in live] or [0]
-    maps: list[tuple[BoolFunc, dict[int, int]]] = []
+    maps: list[tuple[BoolFunc, int, int]] = []
     # the clauses and every frozen factor: each function still in use
     roots = list(clauses)
     steps: list[StepRecord] = []
-    current, i, named = clauses[0], 0, clause_vars[0]
+    current, i = clauses[0], 0
     while current.is_sat() and i < k - 1:
         before = space.unique_nodes
         # the factors between a step and its target are 1, and stay 1
@@ -263,19 +288,14 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
                 break
         else:
             break
-        off = t.any_off_point()
-        # t depends on no variable outside its clause and the frozen
-        # factors, which conjoin clauses up to i
-        for j in range(i + 1, target + 1):
-            named |= clause_vars[j]
-        cube = {v: off[v] for v in t.support(most=named.bit_count())}
+        support, bits = t.support_mask(), t.off_bits()
         # by the prefix rule, t becomes the frozen factor & its clause
         frozen, current = current, current & clauses[target]
-        maps.append((frozen, cube))
+        maps.append((frozen, support, bits))
         roots.append(current)
         after = space.unique_nodes
-        steps.append(StepRecord(before, after, frozen, cube))
-        steps += [StepRecord(after, after, space.true, None)
+        steps.append(StepRecord(before, after, frozen, support, bits))
+        steps += [StepRecord(after, after, space.true, None, None)
                   for _ in range(i + 1, target)]
         i = target
         space.collect(roots)

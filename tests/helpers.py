@@ -126,11 +126,12 @@ def _reference_path(formula: CnfFormula, space: BoolSpace, factor_order,
                     step):
     """The solver's loop over every remaining factor, as a reference.
 
-    ``step(current, target, factors)`` returns the step's pins and every
-    remaining factor rewritten through its map.  Returns the step
-    records and the final factor in the form solve() gives them, with 0
-    for the table figures remaining_before and remaining_after, which
-    record equality leaves out; meant for formulas whose clauses are all
+    ``step(current, target, factors)`` returns the step's pins, as a
+    dict, and every remaining factor rewritten through its map.  Returns
+    the step records, each made from its pins by StepRecord.from_pins,
+    and the final factor in the form solve() gives them, with 0 for the
+    table figures remaining_before and remaining_after, which record
+    equality leaves out; meant for formulas whose clauses are all
     non-empty.
     """
     live = [c for c in formula.clauses if not c.is_tautology]
@@ -142,13 +143,13 @@ def _reference_path(formula: CnfFormula, space: BoolSpace, factor_order,
         if not current.is_sat() or i == len(working) - 1:
             break
         if current == space.true:
-            steps.append(StepRecord(0, 0, current, None))
+            steps.append(StepRecord.from_pins(0, 0, current, None))
             continue
         target = next((f for f in working[i + 1:] if f != space.true), None)
         if target is None:
             break
         pins, working[i + 1:] = step(current, target, working[i + 1:])
-        steps.append(StepRecord(0, 0, current, pins))
+        steps.append(StepRecord.from_pins(0, 0, current, pins))
     return steps, current
 
 
@@ -165,7 +166,8 @@ def compose_path(formula: CnfFormula, space: BoolSpace,
     def step(current, target, factors):
         proj = projection_for(current, target)
         pins = projection_pins(proj)
-        assert StepRecord(0, 0, current, pins).off_point == proj.off_point
+        record = StepRecord.from_pins(0, 0, current, pins)
+        assert record.off_point == proj.off_point
         return pins, [f.compose(proj.subst) for f in factors]
 
     return _reference_path(formula, space, factor_order, step)

@@ -471,6 +471,11 @@ class TestRestrict:
             s.var(0).restrict({-1: 0})
         with pytest.raises(ValueError):
             s.restrict([s.var(0)], {3: 1})
+        for mask, bits in ((1 << 3, 0), (-1, 0), (1, -1)):
+            with pytest.raises(ValueError):
+                s.restrict_bits([s.var(0)], mask, bits)
+        # bits outside the mask are ignored
+        assert s.restrict_bits([s.var(0)], 0b10, 0b111) == [s.var(0)]
 
     def test_space_restrict_matches_each_function(self):
         # functions built from shared parts, restricted in one walk
@@ -565,6 +570,65 @@ class TestCollect:
         assert len(s._unique) == len(s._nodes) - 2
         for f, table in built:
             assert np.array_equal(tt_of_func(f).bits, table)
+
+
+def walked_mask(space, handle):
+    """The support of a handle as a bit mask, read by a full walk."""
+    nodes = space._nodes
+    reached = engine._decision_nodes(nodes, [handle])
+    return sum({1 << nodes[h][0] for h in reached})
+
+
+class TestSupportMasks:
+    # every node gets its support mask when it is made, from its
+    # children's; a sweep drops the masks of the nodes it drops
+
+    def test_masks_match_a_walk_and_survive_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        swept = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            s = BoolSpace(n)
+            pool = [s.var(i) for i in range(n)] + [s.true, s.false]
+            for _ in range(rng.randint(1, 40)):
+                f, g, h = (rng.choice(pool) for _ in range(3))
+                op = rng.choice(("&", "|", "^", "~", "ite", "restrict"))
+                if op == "&":
+                    pool.append(f & g)
+                elif op == "|":
+                    pool.append(f | g)
+                elif op == "^":
+                    pool.append(f ^ g)
+                elif op == "~":
+                    pool.append(~f)
+                elif op == "ite":
+                    pool.append(s.ite(f, g, h))
+                else:
+                    pinned = rng.sample(range(n), rng.randint(0, n))
+                    cube = {v: rng.randint(0, 1) for v in pinned}
+                    pool += s.restrict([f, g], cube)
+            nodes, masks = s._nodes, s._masks
+            assert len(masks) == len(nodes)
+            assert masks[:2] == [0, 0]
+            for handle in s._unique.values():
+                assert masks[handle] == walked_mask(s, handle)
+            for f in pool:
+                assert f.support() == frozenset(
+                    v for v in range(n)
+                    if f.restrict({v: 0}) != f.restrict({v: 1}))
+            roots = rng.sample(pool, len(pool) // 3)
+            kept = set().union(*(f._reachable() for f in roots))
+            before = {handle: masks[handle] for handle in kept}
+            made = len(nodes)
+            s.collect(roots)
+            assert set(s._unique.values()) == kept
+            assert {handle: masks[handle] for handle in kept} == before
+            for handle in range(2, made):
+                if handle not in kept:
+                    assert nodes[handle] is None and masks[handle] is None
+                    swept += 1
+        assert swept > 0
 
 
 class TestReferenceCycles:

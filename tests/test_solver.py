@@ -1,7 +1,11 @@
 """Projective-cofactor composition laws and the chained solver."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from projsat import (
     verify_projection,
 )
 from projsat import engine, solver
+from projsat.cnf import emit_dimacs
 from projsat.oracle import MAX_TABLE_VARS, tt_of_formula
 from projsat.solver import FACTOR_ORDERS, bottom_up_key
 
@@ -36,6 +41,9 @@ from helpers import (
     random_cnf,
     random_func,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh_pair(s, rng):
@@ -57,7 +65,7 @@ def builds(monkeypatch):
     """
     log = []
     building = []
-    built, restrict = solver._built, BoolSpace.restrict
+    built, restrict = solver._built, BoolSpace.restrict_bits
 
     def logged_built(clause, maps):
         walk = []
@@ -68,15 +76,15 @@ def builds(monkeypatch):
         finally:
             building.pop()
 
-    def logged_restrict(space, funcs, assignment):
-        out = restrict(space, funcs, assignment)
+    def logged_restrict(space, funcs, mask, bits):
+        out = restrict(space, funcs, mask, bits)
         # each map walked restricts its frozen factor and the clause
         if building and len(funcs) == 2:
             building[-1].append(out[0])
         return out
 
     monkeypatch.setattr(solver, "_built", logged_built)
-    monkeypatch.setattr(BoolSpace, "restrict", logged_restrict)
+    monkeypatch.setattr(BoolSpace, "restrict_bits", logged_restrict)
     return log
 
 
@@ -459,6 +467,26 @@ class TestDeepChains:
         assert res.witness == model
         assert len(res.steps) == 899
 
+    def test_shuffled_1200_variable_chain(self, tmp_path):
+        # run as python -m projsat, from the shallow stack a user's run
+        # has: once a sweep empties the computed table, one _ite of this
+        # chain nests about 970 deep, which fits below Python's default
+        # limit of 1000 frames, but not on top of pytest's own frames
+        formula, model = implication_chain(1200, random.Random(128))
+        random.Random(128).shuffle(formula.clauses)
+        path = tmp_path / "chain.cnf"
+        path.write_text(emit_dimacs(formula))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "projsat", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 10, proc.stderr
+        literals = [v + 1 if bit else -(v + 1) for v, bit in enumerate(model)]
+        assert proc.stdout.splitlines()[-1] == "v " + " ".join(
+            map(str, literals + [0]))
+
 
 class TestFactorOrders:
     # any clause order gives a final factor == to the conjunction, so
@@ -591,13 +619,54 @@ class TestStepFigures:
             if res.steps:
                 assert res.steps[-1].remaining_after >= res.final.node_count()
 
+    def test_solve_walks_no_graph_for_a_support(self, monkeypatch):
+        # a target's support is its root's mask: outside collect()'s
+        # marking, solve() walks no graph; the 100 formulas of acceptance
+        # criterion 7 in every order, and the shuffled 900-variable chain
+        rng = random.Random(0xACC7)
+        formulas = [random_cnf(rng) for _ in range(100)]
+        chain, model = implication_chain(900, random.Random(124))
+        random.Random(124).shuffle(chain.clauses)
+        formulas.append(chain)
+        walk, collect = engine._decision_nodes, BoolSpace.collect
+        walks = {"collect": 0, "other": 0}
+        sweeping = []
+
+        def counted_walk(nodes, roots):
+            walks["collect" if sweeping else "other"] += 1
+            return walk(nodes, roots)
+
+        def counted_collect(space, roots):
+            sweeping.append(space)
+            try:
+                return collect(space, roots)
+            finally:
+                sweeping.pop()
+
+        monkeypatch.setattr(engine, "_decision_nodes", counted_walk)
+        monkeypatch.setattr(BoolSpace, "collect", counted_collect)
+        for formula in formulas:
+            for order in FACTOR_ORDERS:
+                res = solve(formula, factor_order=order)
+                assert walks["other"] == 0
+        assert res.witness == model
+        # the hook sees a walk made outside collect()
+        res.final.node_count()
+        assert walks["other"] == 1
+
     def test_table_figures_stay_out_of_record_equality(self):
         formula = parse_dimacs(FOUR_VAR_SAT)
         step = solve(formula).steps[0]
         moved = replace(step, remaining_before=step.remaining_before + 5,
                         remaining_after=step.remaining_after + 7)
         assert moved == step
-        assert replace(step, pins={}) != step
+        # the cube is two ints, and one bit of either tells records
+        # apart: the support is {x1, x2, x4} here, and x3 is unpinned
+        assert step.pins == {0: 1, 1: 0, 3: 0}
+        for flipped in (replace(step, bits=step.bits ^ 1),
+                        replace(step, support=step.support ^ 1),
+                        replace(step, support=step.support ^ 1 << 2)):
+            assert flipped != step
 
 
 class TestDeterminism:
