@@ -28,7 +28,9 @@ class CofactorInterval:
 
 def cofactor_interval(func: BoolFunc, region: BoolFunc) -> CofactorInterval:
     """The interval of all functions agreeing with func on region's ON-set."""
-    return CofactorInterval(func & region, func | ~region)
+    # f | ~g is ite(g, f, 1): one ite, with no complement built
+    space = func.space
+    return CofactorInterval(func & region, space.ite(region, func, space.true))
 
 
 def is_cofactor(candidate: BoolFunc, func: BoolFunc, region: BoolFunc) -> bool:
@@ -40,10 +42,11 @@ def general_cofactor(func: BoolFunc, region: BoolFunc,
                      filler: BoolFunc) -> BoolFunc:
     """The interval member that behaves like filler off the region.
 
-    Returns func & region | filler & ~region; sweeping filler over all
-    functions sweeps the whole cofactor interval.
+    Returns func & region | filler & ~region, built as the one
+    ite(region, func, filler); sweeping filler over all functions sweeps
+    the whole cofactor interval.
     """
-    return (func & region) | (filler & ~region)
+    return func.space.ite(region, func, filler)
 
 
 def expand(func: BoolFunc, regions: Sequence[BoolFunc],

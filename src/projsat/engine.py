@@ -12,7 +12,7 @@ by one numpy descent over the function's nodes, level by level.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from operator import eq
 from typing import Optional, Union
 
@@ -106,7 +106,7 @@ def mask_point(bits: int, var_count: int) -> tuple[int, ...]:
     return tuple(point)
 
 
-def _decision_nodes(nodes: list, roots: Sequence[int]) -> set[int]:
+def _decision_nodes(nodes: list, roots: Iterable[int]) -> set[int]:
     """The decision nodes reachable from the root handles."""
     # only decision nodes are pushed, each once: marked when pushed
     seen = {root for root in roots if root >= 2}
@@ -245,12 +245,15 @@ class BoolSpace:
         """Like :meth:`restrict`, the cube given as two masks.
 
         Pins each variable i whose bit is set in ``mask`` to bit i of
-        ``bits``; bits outside ``mask`` are ignored.
+        ``bits``; bits outside ``mask`` are ignored.  An empty cube
+        returns the functions as they are, with no walk.
         """
         if mask < 0 or bits < 0 or mask.bit_length() > len(self._names):
             raise ValueError("variable index out of range")
         for func in funcs:
             self._check(func)
+        if not mask:
+            return list(funcs)
         # one character per level, constants' level n included: pinned
         # reads "1" at a pinned level, and value reads its bit there
         width = len(self._names) + 1
@@ -261,23 +264,27 @@ class BoolSpace:
                                                 value, memo))
                 for func in funcs]
 
-    def collect(self, roots: Sequence["BoolFunc"]) -> None:
+    def collect(self, roots: Iterable["BoolFunc"]) -> None:
         """Sweep the nodes that no root reaches, once the table has grown.
 
         The roots must reach every function of this space still in use:
         a function whose nodes are swept may not be used again.  Nothing
         happens until the unique table holds at least twice the nodes
-        the last sweep kept, and at least ``_COLLECT_FLOOR``.  A sweep
-        keeps every node reachable from a root under its handle, sets
-        the rows and masks of the others to None and empties the
-        computed table, whose entries may name them.
+        the last sweep kept, and at least ``_COLLECT_FLOOR``.  ``roots``
+        may be any iterable, a one-shot generator included: it is
+        iterated once, and only when a sweep runs.  A sweep keeps every
+        node reachable from a root under its handle, sets the rows and
+        masks of the others to None and empties the computed table,
+        whose entries may name them.
         """
         if len(self._unique) < max(_COLLECT_FLOOR, 2 * self._live_after_sweep):
             return
+        handles = []
         for func in roots:
             self._check(func)
+            handles.append(func._handle)
         nodes, masks = self._nodes, self._masks
-        marked = _decision_nodes(nodes, [func._handle for func in roots])
+        marked = _decision_nodes(nodes, handles)
         for handle in self._unique.values():
             if handle not in marked:
                 nodes[handle] = None
@@ -317,7 +324,8 @@ class BoolSpace:
         misses ``mask`` (a constant among them) comes back unchanged, so
         the recursion depth is bounded by the unpinned levels above the
         deepest pin.  ``memo`` maps each handle already restricted to its
-        result and may be shared across calls with the same cube.
+        result; each :meth:`restrict_bits` call makes its own, shared by
+        the functions it restricts.
         """
         masks = self._masks
         if not masks[handle] & mask:
@@ -448,8 +456,8 @@ class BoolFunc:
         """True when this function is pointwise at most ``other``."""
         space = self.space
         space._check(other)
-        flipped = space._ite(other._handle, _FALSE, _TRUE)
-        return space._ite(self._handle, flipped, _FALSE) == _FALSE
+        # f <= g exactly when ite(f, g, 1), that is ~f | g, is 1
+        return space._ite(self._handle, other._handle, _TRUE) == _TRUE
 
     def __le__(self, other: "BoolFunc") -> bool:
         return self.implies(other)

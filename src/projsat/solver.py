@@ -48,12 +48,13 @@ variable both pin, since g|c no longer tests c's variables.  Unrolled:
 
     w^(s+1)|A == ite(P_s|A, C|A, w^(s)|(c_s and A)),    w^(0)|A == C|A.
 
-solve() therefore keeps no rewritten factors, only the clauses and one
-map (P_s, c_s) per step that has pins, and builds a factor when it is
-needed, by a walk from the newest map back with A empty at the start.
-The walk stops at the first level whose P_s|A is 1, where the value is
-C|A; a level whose P_s|A is 0 is the branch below it and is passed
-through; every other level is an ite of the result.  A factor is
+solve() therefore keeps no rewritten factors, only the clauses and the
+step records, whose pinned ones are the maps (P_s, c_s), and builds a
+factor when it is needed, by a walk over the records from the newest
+back, skipped ones passed over, with A empty at the start.  The walk
+stops at the first level whose P_s|A is 1, where the value is C|A; a
+level whose P_s|A is 0 is the branch below it and is passed through;
+every other level is an ite of the result.  A factor is
 needed only as a candidate target: the search starts after the last
 target, and the first candidate that is not 1 is the target.  Those
 before it are 1 and stay 1, since ite(P, C, 1) == 1 when C is 1 on the
@@ -75,12 +76,12 @@ mask |= support.
 
 Each step leaves the functions it built behind in the space's tables,
 so solve() ends every step with a space.collect() whose roots are the
-frozen factors of the maps, the clauses and the next frozen factor.
-They are roots enough: solve() builds the space, and until it returns
-every function in use is among them, the frozen factors that the step
-records hold included, so no reference counts are needed.  A sweep
-keeps each live handle, and the records stay == to anything built
-later in the same space.
+clauses, the frozen factors of the records and the next frozen factor:
+solve()'s whole state, passed as one chained iterable that collect()
+reads only when it sweeps.  They are roots enough: solve() builds the
+space, and until it returns every function in use is among them, so no
+reference counts are needed.  A sweep keeps each live handle, and the
+records stay == to anything built later in the same space.
 
 Any clause order gives a final factor == to the conjunction, so the
 order moves only the steps.  The default, bottom-up, is the bucket
@@ -110,6 +111,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 from .cnf import Clause, CnfFormula, clause_to_func, formula_to_func
@@ -221,28 +223,31 @@ def bottom_up_key(clause: Clause) -> float:
 FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None}
 
 
-def _built(clause: BoolFunc,
-           maps: list[tuple[BoolFunc, int, int]]) -> BoolFunc:
-    """The factor of ``clause`` after every map in ``maps``, oldest first.
+def _built(clause: BoolFunc, steps: list[StepRecord]) -> BoolFunc:
+    """The factor of ``clause`` after the maps of ``steps``, oldest first.
 
-    Each map is a pinned step's (frozen factor, support, bits).  The
-    walk runs from the newest map back and stops at the first frozen
-    factor whose restriction by the pins gathered so far is 1; a
-    restriction that is 0 passes the walk through, and each other one is
-    a level of the result, in the unrolled recurrence of the module
-    docstring.
+    Each record with pins is one map: its frozen factor and its cube
+    (support, bits); a skipped record, whose support is None, maps
+    nothing and is passed over.  The walk runs from the newest record
+    back and stops at the first frozen factor whose restriction by the
+    pins gathered so far is 1; a restriction that is 0 passes the walk
+    through, and each other one is a level of the result, in the
+    unrolled recurrence of the module docstring.
     """
     space = clause.space
     mask = bits = 0
     levels = []
-    for frozen, pinned, pinned_bits in reversed(maps):
-        cond, value = space.restrict_bits((frozen, clause), mask, bits)
+    for step in reversed(steps):
+        pinned = step.support
+        if pinned is None:
+            continue
+        cond, value = space.restrict_bits((step.func, clause), mask, bits)
         if cond == space.true:
             break
         if cond != space.false:
             levels.append((cond, value))
         # the step's own pins win: its restriction no longer tests them
-        bits = (bits & ~pinned) | pinned_bits
+        bits = (bits & ~pinned) | step.bits
         mask |= pinned
     else:
         value = space.restrict_bits((clause,), mask, bits)[0]
@@ -274,16 +279,13 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
 
     clauses = [clause_to_func(c, space) for c in live] or [space.true]
     k = len(clauses)
-    maps: list[tuple[BoolFunc, int, int]] = []
-    # the clauses and every frozen factor: each function still in use
-    roots = list(clauses)
     steps: list[StepRecord] = []
     current, i = clauses[0], 0
     while current.is_sat() and i < k - 1:
         before = space.unique_nodes
         # the factors between a step and its target are 1, and stay 1
         for target in range(i + 1, k):
-            t = _built(clauses[target], maps)
+            t = _built(clauses[target], steps)
             if t != space.true:
                 break
         else:
@@ -291,14 +293,13 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
         support, bits = t.support_mask(), t.off_bits()
         # by the prefix rule, t becomes the frozen factor & its clause
         frozen, current = current, current & clauses[target]
-        maps.append((frozen, support, bits))
-        roots.append(current)
         after = space.unique_nodes
         steps.append(StepRecord(before, after, frozen, support, bits))
         steps += [StepRecord(after, after, space.true, None, None)
                   for _ in range(i + 1, target)]
         i = target
-        space.collect(roots)
+        # every function still in use: read only if the space sweeps
+        space.collect(chain(clauses, (step.func for step in steps), (current,)))
     return SolveResult(steps, current)
 
 

@@ -143,6 +143,20 @@ class TestAlgebra:
         assert not g <= f
         assert s.false <= f <= s.true
 
+    def test_implication_matches_table_oracle(self):
+        # f <= g exactly when f's table is 0 wherever g's is
+        s = BoolSpace(5)
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(200):
+            f, tf = random_func(s, rng)
+            g, tg = random_func(s, rng)
+            expected = not (tf & ~tg).any()
+            assert f.implies(g) == (f <= g) == expected
+            assert (g >= f) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestEvaluation:
     def test_clause_literal_cases(self):
@@ -443,6 +457,21 @@ class TestRestrict:
             f, _ = random_func(s, rng)
             assert f.restrict({}) == f
 
+    def test_empty_cube_walks_nothing(self):
+        # the same handles come back and no node is made, whatever bits
+        # are given outside the (empty) mask
+        rng = random.Random(26)
+        s = BoolSpace(5)
+        funcs = [random_func(s, rng)[0] for _ in range(10)]
+        funcs += [s.true, s.false]
+        unique = dict(s._unique)
+        out = s.restrict_bits(funcs, 0, 0b10110)
+        assert [f._handle for f in out] == [f._handle for f in funcs]
+        assert s.restrict(funcs, {}) == funcs
+        assert s._unique == unique
+        with pytest.raises(TypeError):
+            s.restrict_bits([0], 0, 0)
+
     def test_full_cube_is_the_value_at_the_point(self):
         rng = random.Random(23)
         s = BoolSpace(4)
@@ -512,10 +541,17 @@ class TestCollect:
         built = self.build(s)
         nodes, unique, cache = list(s._nodes), dict(s._unique), dict(s._ite_cache)
         assert len(unique) < engine._COLLECT_FLOOR
-        s.collect([built[0][0]])
-        assert s._nodes == nodes
-        assert s._unique == unique
-        assert s._ite_cache == cache
+
+        def unread():
+            raise AssertionError("roots read below the floor")
+            yield
+
+        # the roots are not even read
+        for roots in ([built[0][0]], unread()):
+            s.collect(roots)
+            assert s._nodes == nodes
+            assert s._unique == unique
+            assert s._ite_cache == cache
 
     def test_a_forced_sweep_keeps_the_roots(self, monkeypatch):
         monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
@@ -548,6 +584,20 @@ class TestCollect:
             assert np.array_equal(tt_of_func(rebuilt).bits, table)
             if seed % 4 == 0:
                 assert rebuilt == original
+
+    def test_a_one_shot_generator_of_roots_keeps_every_root(self, monkeypatch):
+        # the roots are read once: a generator is not spent before the
+        # sweep marks what it reaches
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        s = BoolSpace(6)
+        built = self.build(s)
+        roots = [f for f, _ in built[::4]]
+        s.collect(f for f in roots)
+        live = set().union(*(f._reachable() for f in roots))
+        assert live and set(s._unique.values()) == live
+        for f, table in built[::4]:
+            assert np.array_equal(tt_of_func(f).bits, table)
+            assert (f & s.true) == f
 
     def test_roots_must_belong_to_the_space(self, monkeypatch):
         monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)

@@ -59,26 +59,27 @@ def fresh_pair(s, rng):
 def builds(monkeypatch):
     """Each factor solve() builds: its clause and the walk's levels.
 
-    A level is the frozen factor of one map walked, as restricted by the
-    pins gathered above it: 1 ends the walk, 0 passes it through and
-    any other function is a level of the built factor.
+    A level is the frozen factor of one pinned record walked, as
+    restricted by the pins gathered above it: 1 ends the walk, 0 passes
+    it through and any other function is a level of the built factor.
     """
     log = []
     building = []
     built, restrict = solver._built, BoolSpace.restrict_bits
 
-    def logged_built(clause, maps):
+    def logged_built(clause, steps):
         walk = []
         log.append((clause, walk))
         building.append(walk)
         try:
-            return built(clause, maps)
+            return built(clause, steps)
         finally:
             building.pop()
 
     def logged_restrict(space, funcs, mask, bits):
         out = restrict(space, funcs, mask, bits)
-        # each map walked restricts its frozen factor and the clause
+        # each pinned record walked restricts its frozen factor and the
+        # clause
         if building and len(funcs) == 2:
             building[-1].append(out[0])
         return out
@@ -544,8 +545,9 @@ class TestFactorOrders:
 
 
 class TestSweeps:
-    # solve() ends each step with space.collect(working); a sweep keeps
-    # every live handle, so the records stay == to anything built later
+    # solve() ends each step with space.collect() on its whole state; a
+    # sweep keeps every live handle, so the records stay == to anything
+    # built later
 
     def test_forced_sweeps_keep_the_records_exact(self, monkeypatch):
         # a floor of 0 sweeps whenever the table has doubled; the 100
