@@ -245,15 +245,12 @@ class BoolSpace:
         """Like :meth:`restrict`, the cube given as two masks.
 
         Pins each variable i whose bit is set in ``mask`` to bit i of
-        ``bits``; bits outside ``mask`` are ignored.  An empty cube
-        returns the functions as they are, with no walk.
+        ``bits``; bits outside ``mask`` are ignored.
         """
         if mask < 0 or bits < 0 or mask.bit_length() > len(self._names):
             raise ValueError("variable index out of range")
         for func in funcs:
             self._check(func)
-        if not mask:
-            return list(funcs)
         # one character per level, constants' level n included: pinned
         # reads "1" at a pinned level, and value reads its bit there
         width = len(self._names) + 1

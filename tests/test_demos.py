@@ -1,8 +1,6 @@
-"""Each narrated demo, and the README's library quickstart, runs to
-completion against this checkout's code."""
+"""Each narrated demo runs to completion against this checkout's code."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,31 +11,16 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_python(args):
-    """Run the interpreter on ``args`` with this checkout's src first."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    proc = run_python([str(demo)])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
-
-
-def test_readme_quickstart_runs():
-    # the first python block under the heading, run as written
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert block is not None
-    proc = run_python(["-c", block.group(1)])
-    assert proc.returncode == 0, proc.stderr
