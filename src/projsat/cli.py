@@ -6,8 +6,10 @@ runtime errors.  Human output uses 's' and 'v' lines; --json prints one
 object mirroring the SolveResult on a single line instead.  The solver
 only decides; the solution set of --mode all and the oracle check are
 both read from its final factor here.  Every 'v' line, the single
-witness included, is the all-negative line 'v -1 -2 ... -n 0' with the
-'-' of each true variable masked out, a block of packed rows at a time.
+witness included, starts as the all-negative line 'v -1 -2 ... -n 0'
+laid out in fixed-width slots padded with NUL; the '-' of each true
+variable becomes NUL too, and the NULs are deleted, a block of packed
+rows at a time.
 """
 
 from __future__ import annotations
@@ -126,22 +128,26 @@ _BLOCK_ROWS = 1 << 14
 
 
 def _write_witnesses(points: PointRows) -> None:
-    """One 'v' line per point, masked from the all-negative line.
+    """One 'v' line per point, in fixed slots with the NULs deleted.
 
-    The line 'v -1 -2 ... -n 0' is built once as bytes; a point's line
-    is that template less the '-' of every variable the point sets to 1.
+    Variable v gets a slot of len(str(n)) + 2 bytes holding '-v '
+    padded with NUL, so the all-negative line is one fixed-width row.
+    Each row of a block starts as that template; the '-' of every
+    variable its point sets to 1 becomes NUL too, and deleting every
+    NUL leaves the lines.
     """
     var_count = points.var_count
-    line = "v " + "".join(f"-{var} " for var in range(1, var_count + 1)) + "0\n"
-    template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    signs = np.flatnonzero(template == ord("-"))
+    width = len(str(var_count)) + 2
+    slots = b"".join(f"-{var} ".encode("ascii").ljust(width, b"\0")
+                     for var in range(1, var_count + 1))
+    template = np.frombuffer(b"v " + slots + b"0\n", dtype=np.uint8)
     for start in range(0, len(points), _BLOCK_ROWS):
         bits = np.unpackbits(points.rows[start:start + _BLOCK_ROWS], axis=1,
                              count=var_count)
-        keep = np.ones((len(bits), template.size), dtype=bool)
-        keep[:, signs] = bits == 0
-        lines = np.tile(template, (len(bits), 1))[keep]
-        sys.stdout.write(lines.tobytes().decode("ascii"))
+        lines = np.tile(template, (len(bits), 1))
+        # the '-' of each slot, one column per variable
+        lines[:, 2:-2:width] *= 1 - bits
+        sys.stdout.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _pin_literals(pins: dict[int, int]) -> list[int]:

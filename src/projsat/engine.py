@@ -583,7 +583,8 @@ class BoolFunc:
             children[0::2] = np.where(tests, lo[reached], reached)
             children[1::2] = np.where(tests, hi[reached], reached)
             live = np.flatnonzero(children)
-            rows = rows[live >> 1]
+            # take gathers whole rows several times faster than rows[live >> 1]
+            rows = rows.take(live >> 1, axis=0)
             rows[:, var >> 3] |= ((live & 1) << (7 - (var & 7))).astype(np.uint8)
             reached = children[live]
         if reached.size > cap:

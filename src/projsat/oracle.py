@@ -1,12 +1,12 @@
 """Exhaustive truth-table oracle.
 
-Tables are filled straight from clause data with numpy index
-arithmetic, touching none of the engine's code, so agreement between
-the two paths is evidence rather than tautology.  The only bridge back
-is tt_of_func, which reads an engine function's graph level by level
-into a table.  It takes the graph as the compact node arrays the
-engine's on-set enumeration also descends; tt_of_formula reads none
-of them.
+Tables are filled straight from clause data, each clause clearing
+the subcube of points it rules out, touching none of the engine's
+code, so agreement between the two paths is evidence rather than
+tautology.  The only bridge back is tt_of_func, which reads an engine
+function's graph level by level into a table.  It takes the graph as
+the compact node arrays the engine's on-set enumeration also descends;
+tt_of_formula reads none of them.
 """
 
 from __future__ import annotations
@@ -66,19 +66,26 @@ class TruthTable:
 
 
 def tt_of_formula(formula: CnfFormula) -> TruthTable:
-    """Evaluate a CNF clause by clause over every point."""
+    """Evaluate a CNF by clearing each clause's falsifying subcube.
+
+    Reshaped to n axes of length 2, the table holds variable i on axis
+    i, the index bit of weight 2^(n-1-i).  A clause is 0 exactly where
+    each of its literals is 0, a subcube that fixes its variables and
+    leaves every other axis whole; the empty clause clears everything
+    and a tautology nothing.
+    """
     n = formula.var_count
     if n > MAX_TABLE_VARS:
         raise ValueError(f"{n} variables exceed the table cap of {MAX_TABLE_VARS}")
-    size = 1 << n
-    indices = np.arange(size, dtype=np.uint32)
-    acc = np.ones(size, dtype=bool)
+    acc = np.ones(1 << n, dtype=bool)
+    cube = acc.reshape((2,) * n)
     for clause in formula.clauses:
-        value = np.zeros(size, dtype=bool)
+        if clause.is_tautology:
+            continue
+        where = [slice(None)] * n
         for lit in clause.literals:
-            bit = (indices >> (n - 1 - lit.var)) & 1
-            value |= (bit == 0) if lit.negated else (bit == 1)
-        acc &= value
+            where[lit.var] = int(lit.negated)
+        cube[tuple(where)] = False
     return TruthTable(n, acc)
 
 

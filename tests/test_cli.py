@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from projsat import Clause, CnfFormula, parse_dimacs
+from projsat import BoolSpace, Clause, CnfFormula, formula_to_func, parse_dimacs
 from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, run
 from projsat.cnf import emit_dimacs
-from projsat.oracle import formula_satisfied, index_to_point, tt_of_formula
-from projsat.solver import FACTOR_ORDERS
+from projsat.oracle import MAX_TABLE_VARS, formula_satisfied, tt_of_formula
+from projsat.solver import FACTOR_ORDERS, bottom_up_key
 
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain,
                      random_clause, random_cnf, reference_v_lines)
@@ -409,15 +409,16 @@ def sweep_formulas(n, rng):
     """Clause-free, satisfiable and unsatisfiable formulas over n variables.
 
     The satisfiable one keeps 3n random clauses that a planted point
-    satisfies.  Clause-free formulas stop at n = 17 (131,072 lines), so
-    the test stays small.
+    satisfies, 4n above the truth table's cap, where 3n can leave
+    hundreds of thousands of models.  Clause-free formulas stop at
+    n = 17 (131,072 lines), so the test stays small.
     """
     if n == 0:
         return [CnfFormula(0, []), CnfFormula(0, [Clause.from_ints([])])]
     formulas = [CnfFormula(n, [])] if n <= 17 else []
     planted = [rng.randint(0, 1) for _ in range(n)]
     clauses = []
-    while len(clauses) < 3 * n:
+    while len(clauses) < (3 if n <= MAX_TABLE_VARS else 4) * n:
         clause = random_clause(n, rng)
         if clause.satisfied_by(planted):
             clauses.append(clause)
@@ -427,16 +428,32 @@ def sweep_formulas(n, rng):
     return formulas
 
 
-class TestVLines:
-    """Byte identity of the masked 'v' lines with the reference."""
+def sorted_models(formula):
+    """Every model of the formula, in lexicographic order.
 
-    SIZES = (0, 1, 7, 8, 9, 15, 16, 17, 20)
+    Up to the truth table's cap they are read from the table; above it
+    from the direct conjunction of the clauses in bottom-up order, the
+    reference --mode verify checks against there.
+    """
+    n = formula.var_count
+    if n <= MAX_TABLE_VARS:
+        return tt_of_formula(formula).satisfying_points()
+    clauses = sorted(formula.clauses, key=bottom_up_key)
+    return formula_to_func(CnfFormula(n, clauses), BoolSpace(n)).enumerate_on_set()
+
+
+class TestVLines:
+    """Byte identity of the 'v' lines with the reference."""
+
+    # 'v' line slots of 3 bytes up to n = 9, 4 bytes at 15 to 99 and
+    # 5 bytes, with 3-digit variables, at 100 and 101
+    SIZES = (0, 1, 7, 8, 9, 15, 16, 17, 20, 99, 100, 101)
 
     def test_all_mode_matches_reference(self, tmp_path, capsys):
         rng = random.Random(0xB17E)
         for n in self.SIZES:
             for formula in sweep_formulas(n, rng):
-                points = tt_of_formula(formula).satisfying_points()
+                points = sorted_models(formula)
                 code, out, _ = run_cli(["--mode", "all"],
                                        cnf=emit_dimacs(formula),
                                        tmp_path=tmp_path, capsys=capsys)
@@ -453,10 +470,9 @@ class TestVLines:
         cases = [implication_chain(100, rng)]
         for n in self.SIZES:
             for formula in sweep_formulas(n, rng):
-                bits = tt_of_formula(formula).bits
-                if bits.any():
-                    first = index_to_point(int(bits.argmax()), n)
-                    cases.append((formula, first))
+                points = sorted_models(formula)
+                if points:
+                    cases.append((formula, points[0]))
         for formula, witness in cases:
             line = reference_v_lines([witness], formula.var_count)
             for mode in ("solve", "verify"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows, solve
 from projsat import engine
-from projsat.oracle import TruthTable, tt_of_func
+from projsat.oracle import tt_of_func
 
 from helpers import bit_columns, implication_chain, random_func
 
@@ -366,17 +366,23 @@ class TestEnumeration:
         assert BoolSpace(0).false.enumerate_on_set(cap=0) == []
 
     def test_matches_truth_table_points(self):
+        # rows of 0 to 2 bytes up to n = 10, of 3 bytes from 17 to 20
         rng = random.Random(21)
-        for n in range(11):
+        for n in (*range(11), *range(17, 21)):
             s = BoolSpace(n)
+            columns = bit_columns(n)
             cases = [(s.false, np.zeros(1 << n, dtype=bool)),
                      (s.true, np.ones(1 << n, dtype=bool))]
             if n:
-                cases += [random_func(s, rng) for _ in range(12)]
+                cases += [random_func(s, rng) for _ in range(12 if n <= 10 else 3)]
             for f, table in cases:
                 got = f.enumerate_on_set()
-                assert got == TruthTable(n, table).satisfying_points()
-                assert got.rows.shape == (len(got), (n + 7) // 8)
+                assert got.rows.shape == (table.sum(), (n + 7) // 8)
+                bits = np.unpackbits(got.rows, axis=1, count=n)
+                for var, column in enumerate(columns):
+                    assert np.array_equal(bits[:, var], column[table])
+                # the pad bits of the last byte are 0
+                assert np.array_equal(np.packbits(bits, axis=1), got.rows)
 
     def test_point_rows_sequence_protocol(self):
         s = BoolSpace(10)

@@ -17,7 +17,8 @@ from projsat.oracle import (
     tt_of_func,
 )
 
-from helpers import FOUR_VAR_SAT, TWO_VAR_UNSAT, random_cnf, random_func
+from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, random_clause, random_cnf,
+                     random_func)
 from projsat import parse_dimacs
 
 
@@ -84,6 +85,42 @@ class TestFormulaTables:
     def test_empty_clause_kills_everything(self):
         table = tt_of_formula(CnfFormula(2, [Clause.from_ints([])]))
         assert table.count() == 0
+
+    def test_matches_clause_by_clause_evaluation(self):
+        # every point, from the 0-variable space up; each formula holds a
+        # tautology when n > 0, and the first of each n the empty clause
+        rng = random.Random(69)
+        for n in range(11):
+            for trial in range(8):
+                clauses = [random_clause(n, rng, max_width=4)
+                           for _ in range(rng.randint(0, 2 * n))]
+                if n:
+                    clause = random_clause(n, rng).to_ints()
+                    clauses.append(Clause.from_ints(clause + [-clause[0]]))
+                if trial == 0:
+                    clauses.append(Clause.from_ints([]))
+                rng.shuffle(clauses)
+                formula = CnfFormula(n, clauses)
+                want = [formula_satisfied(formula, index_to_point(i, n))
+                        for i in range(1 << n)]
+                assert tt_of_formula(formula).bits.tolist() == want
+
+    def test_random_3sat_at_the_cap(self):
+        rng = random.Random(24)
+        n = MAX_TABLE_VARS
+        formula = CnfFormula(n, [
+            Clause.from_ints(v * rng.choice((1, -1))
+                             for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(40)])
+        table = tt_of_formula(formula)
+        assert 0 < table.count() < 1 << n
+        models = np.flatnonzero(table.bits)
+        points = [rng.getrandbits(n) for _ in range(200)]
+        points += [int(models[rng.randrange(models.size)]) for _ in range(100)]
+        for index in points:
+            assert table.bits[index] == formula_satisfied(
+                formula, index_to_point(index, n))
+        assert tt_equal(table, tt_of_func(formula_to_func(formula, BoolSpace(n))))
 
 
 class TestBridge:
