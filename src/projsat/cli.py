@@ -73,11 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of every run() call, built once.
+_PARSER = _build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse flags, solve, print, and return the process exit code."""
-    parser = _build_parser()
+    """Parse flags, solve, print, and return the process exit code.
+
+    The flags are parsed by the module's one parser, built at import:
+    each parse_args call starts from a fresh namespace, so a call reads
+    nothing of the calls before it.
+    """
     try:
-        opts = parser.parse_args(argv)
+        opts = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own message; --help exits 0, usage errors 1
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

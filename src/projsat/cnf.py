@@ -100,6 +100,10 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> CnfFormula:
     trailer of the SATLIB uf* files parses.  A clause count differing
     from the header is reported as a warning, not an error; input that
     is not UTF-8 raises DimacsParseError.
+
+    Each distinct literal token is checked and made into a Literal once
+    per parse, at its first occurrence, where any error it has is
+    raised; its later occurrences reuse that Literal.
     """
     try:
         data = source.read() if hasattr(source, "read") else source
@@ -113,7 +117,9 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> CnfFormula:
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
     comments: list[str] = []
-    pending: list[int] = []
+    pending: list[Literal] = []
+    # each distinct literal token's Literal, made once per parse
+    literals: dict[str, Literal] = {}
 
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
@@ -143,20 +149,25 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> CnfFormula:
             raise DimacsParseError(
                 f"line {lineno}: clause data before the 'p cnf' header")
         for token in line.split():
+            lit = literals.get(token)
+            if lit is not None:
+                pending.append(lit)
+                continue
             try:
                 value = int(token)
             except ValueError:
                 raise DimacsParseError(
                     f"line {lineno}: non-integer token {token!r}") from None
             if value == 0:
-                clauses.append(Clause.from_ints(pending))
+                clauses.append(Clause(tuple(pending)))
                 pending = []
             else:
                 if abs(value) > header[0]:
                     raise DimacsParseError(
                         f"line {lineno}: literal {value} out of range "
                         f"for {header[0]} variables")
-                pending.append(value)
+                lit = literals[token] = Literal.from_dimacs(value)
+                pending.append(lit)
 
     if header is None:
         raise DimacsParseError("missing 'p cnf' header")

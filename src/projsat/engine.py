@@ -245,17 +245,16 @@ class BoolSpace:
         """Like :meth:`restrict`, the cube given as two masks.
 
         Pins each variable i whose bit is set in ``mask`` to bit i of
-        ``bits``; bits outside ``mask`` are ignored.
+        ``bits``; bits outside ``mask`` are ignored.  This is the checked
+        entry to :meth:`_restricted`, the cube made by :meth:`_cube`; the
+        solver's factor build, the other caller of both, works on raw
+        handles and checks nothing.
         """
         if mask < 0 or bits < 0 or mask.bit_length() > len(self._names):
             raise ValueError("variable index out of range")
         for func in funcs:
             self._check(func)
-        # one character per level, constants' level n included: pinned
-        # reads "1" at a pinned level, and value reads its bit there
-        width = len(self._names) + 1
-        pinned = f"{mask:0{width}b}"[::-1]
-        value = f"{bits:0{width}b}"[::-1]
+        pinned, value = self._cube(mask, bits)
         memo: dict[int, int] = {}
         return [BoolFunc(self, self._restricted(func._handle, mask, pinned,
                                                 value, memo))
@@ -311,18 +310,32 @@ class BoolSpace:
             self._unique[key] = handle
         return handle
 
+    def _cube(self, mask: int, bits: int) -> tuple[str, str]:
+        """The cube (mask, bits) spelled out per level for :meth:`_restricted`.
+
+        One character per level, the constants' level n included:
+        ``pinned`` reads "1" at a pinned level, and ``value`` reads its
+        bit there.  Both callers of :meth:`_restricted` make their cube
+        here: :meth:`restrict_bits` and the solver's factor build.
+        """
+        width = len(self._names) + 1
+        return f"{mask:0{width}b}"[::-1], f"{bits:0{width}b}"[::-1]
+
     def _restricted(self, handle: int, mask: int, pinned: str, value: str,
                     memo: dict[int, int]) -> int:
         """The handle with each variable in ``mask`` pinned to its bit.
 
         ``pinned`` and ``value`` spell ``mask`` and the bits out per
-        level, as :meth:`restrict_bits` makes them.  Pinned levels are
-        followed as a path, without recursion, and a node whose support
-        misses ``mask`` (a constant among them) comes back unchanged, so
-        the recursion depth is bounded by the unpinned levels above the
-        deepest pin.  ``memo`` maps each handle already restricted to its
-        result; each :meth:`restrict_bits` call makes its own, shared by
-        the functions it restricts.
+        level, as :meth:`_cube` makes them; they are not read when
+        ``mask`` is 0, since every handle then comes back unchanged.
+        Pinned levels are followed as a path, without recursion, and a
+        node whose support misses ``mask`` (a constant among them) comes
+        back unchanged, so the recursion depth is bounded by the
+        unpinned levels above the deepest pin.  ``memo`` maps each handle
+        already restricted to its result under this one cube: each
+        :meth:`restrict_bits` call makes its own, shared by the functions
+        it restricts, and the solver's factor build makes one per cube
+        its walk gathers, shared by the frozen factor and the clause.
         """
         masks = self._masks
         if not masks[handle] & mask:

@@ -98,21 +98,33 @@ def tt_of_func(func) -> TruthTable:
     test variable L.  The node arrays are the engine's compact ones,
     which its on-set enumeration descends too, in the table convention
     of BoolSpace.
+
+    Each level gathers through two child maps made over the node
+    arrays, which are small, so no full-size temporary is made besides
+    the gathered halves.  The entries are uint16 node ids when the graph
+    has fewer than 2^16 rows.  The last level reaches constants only,
+    row 0 the constant 0 and row 1 the constant 1, so its maps and the
+    table it fills are bools.
     """
     n = func.space.var_count
     if n > MAX_TABLE_VARS:
         raise ValueError(f"{n} variables exceed the table cap of {MAX_TABLE_VARS}")
     level, lo, hi, root = func._node_arrays()
-    reached = np.array([root], dtype=np.int32)
+    index = np.uint16 if level.size < 1 << 16 else np.int32
+    stay = np.arange(level.size, dtype=index)
+    reached = np.array([root], dtype=index)
     for var in range(n):
-        tests = level[reached] == var
-        # the last level reaches constants only, so it can be kept as bits
-        dtype = bool if var == n - 1 else np.int32
-        doubled = np.empty(2 * reached.size, dtype=dtype)
-        doubled[0::2] = np.where(tests, lo[reached], reached)
-        doubled[1::2] = np.where(tests, hi[reached], reached)
+        tests = level == var
+        low = np.where(tests, lo, stay).astype(index)
+        high = np.where(tests, hi, stay).astype(index)
+        if var == n - 1:
+            low, high = low == 1, high == 1
+        doubled = np.empty(2 * reached.size, dtype=low.dtype)
+        doubled[0::2] = low[reached]
+        doubled[1::2] = high[reached]
         reached = doubled
-    return TruthTable(n, reached == 1)
+    # with n == 0 the one entry is the root, the constant 0 or 1 itself
+    return TruthTable(n, reached)
 
 
 def tt_equal(first: TruthTable, second: TruthTable) -> bool:

@@ -72,7 +72,13 @@ walk sets the bits of p, which all lie inside supp(t).  The walk that
 builds a factor gathers its cube A as two such ints too, the mask of
 the pinned variables and their bits, and adds the cube (support, p) of
 a map with the map's pins winning: bits = (bits & ~support) | p and
-mask |= support.
+mask |= support.  The walk is solve()'s inner loop, so it runs on
+node handles: it calls the space's unchecked restriction and ite
+directly, spells the cube out per level once per record it adds,
+compares handles with the constants 0 and 1, and returns a handle,
+which solve() wraps as a function only once it is the target.  It
+stops after about two records on the random, pigeonhole and chain
+instances of the benchmark, so the cost left in it is these calls.
 
 Each step leaves the functions it built behind in the space's tables,
 so solve() ends every step with a space.collect() whose roots are the
@@ -223,8 +229,8 @@ def bottom_up_key(clause: Clause) -> float:
 FACTOR_ORDERS = {"bottom-up": bottom_up_key, "input": None}
 
 
-def _built(clause: BoolFunc, steps: list[StepRecord]) -> BoolFunc:
-    """The factor of ``clause`` after the maps of ``steps``, oldest first.
+def _built(clause: BoolFunc, steps: list[StepRecord]) -> int:
+    """The handle of ``clause``'s factor after the maps of ``steps``.
 
     Each record with pins is one map: its frozen factor and its cube
     (support, bits); a skipped record, whose support is None, maps
@@ -233,27 +239,44 @@ def _built(clause: BoolFunc, steps: list[StepRecord]) -> BoolFunc:
     pins gathered so far is 1; a restriction that is 0 passes the walk
     through, and each other one is a level of the result, in the
     unrolled recurrence of the module docstring.
+
+    The walk calls the space's unchecked cores on node handles, since
+    every function it reads belongs to the space: it spells each cube
+    out once, by _cube(), as the walk adds a record's pins, shares one
+    memo between the frozen factor and the clause under that cube, and
+    compares the handles with the constants 0 and 1.  The caller wraps
+    the handle it keeps.
     """
     space = clause.space
+    restricted = space._restricted
+    handle = clause._handle
     mask = bits = 0
+    # an empty cube is never spelled out: _restricted does not read it
+    pinned = value = ""
+    memo: dict[int, int] = {}
     levels = []
     for step in reversed(steps):
-        pinned = step.support
-        if pinned is None:
+        support = step.support
+        if support is None:
             continue
-        cond, value = space.restrict_bits((step.func, clause), mask, bits)
-        if cond == space.true:
+        cond = restricted(step.func._handle, mask, pinned, value, memo)
+        if cond == 1:
             break
-        if cond != space.false:
-            levels.append((cond, value))
+        # restricted where passed through too: the nodes it makes are
+        # part of the table sizes that the records report
+        then = restricted(handle, mask, pinned, value, memo)
+        if cond != 0:
+            levels.append((cond, then))
         # the step's own pins win: its restriction no longer tests them
-        bits = (bits & ~pinned) | step.bits
-        mask |= pinned
-    else:
-        value = space.restrict_bits((clause,), mask, bits)[0]
+        bits = (bits & ~support) | step.bits
+        mask |= support
+        pinned, value = space._cube(mask, bits)
+        memo = {}
+    result = restricted(handle, mask, pinned, value, memo)
+    ite = space._ite
     for cond, then in reversed(levels):
-        value = space.ite(cond, then, value)
-    return value
+        result = ite(cond, then, result)
+    return result
 
 
 def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
@@ -286,10 +309,11 @@ def solve(formula: CnfFormula, factor_order: str = "bottom-up") -> SolveResult:
         # the factors between a step and its target are 1, and stay 1
         for target in range(i + 1, k):
             t = _built(clauses[target], steps)
-            if t != space.true:
+            if t != 1:
                 break
         else:
             break
+        t = BoolFunc(space, t)
         support, bits = t.support_mask(), t.off_bits()
         # by the prefix rule, t becomes the frozen factor & its clause
         frozen, current = current, current & clauses[target]

@@ -36,6 +36,13 @@ def test_tracer_reads_steps_and_models(tmp_path, capsys, monkeypatch):
     assert tracer.counts["solver.steps"] > 0
     assert tracer.counts["engine.models"] == models
     assert tracer.calls["solver.rewrite"] == 2
+    # each run parses once and builds each non-tautological clause once,
+    # through the names the tracer wraps: a solve path that bypassed
+    # one would read 0 here, and in the traced benchmark
+    clauses = parse_dimacs(FOUR_VAR_SAT).clauses
+    assert tracer.calls["cnf.parse"] == 2
+    assert tracer.calls["cnf.build"] == 2 * sum(
+        not clause.is_tautology for clause in clauses)
     # the witness is read from the final factor only where it is used:
     # never by --mode all, and by --mode verify for its clause check
     # and its v line; one enumeration, one oracle pass

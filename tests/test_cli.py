@@ -6,7 +6,10 @@ exact s/v line protocol are pinned down without spawning subprocesses.
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -140,6 +143,33 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK
         assert "--mode" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    # run() parses every call's flags with one parser built at import
+
+    def test_each_call_prints_what_it_prints_alone(self, tmp_path, capsys):
+        # three in-process calls in a row, each against the same flags in
+        # a fresh python -m projsat process
+        path = tmp_path / "input.cnf"
+        path.write_text(FOUR_VAR_SAT)
+        flag_sets = (["--json", "--mode", "all"], [],
+                     ["--mode", "trace", "--order", "input"])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        outputs = []
+        for flags in flag_sets:
+            argv = ["--input", str(path)] + flags
+            code = run(argv)
+            outputs.append((code, capsys.readouterr().out))
+        for flags, output in zip(flag_sets, outputs):
+            alone = subprocess.run(
+                [sys.executable, "-m", "projsat", "--input", str(path)] + flags,
+                env=env, capture_output=True, text=True, timeout=120)
+            assert output == (alone.returncode, alone.stdout), flags
+        assert len({out for _, out in outputs}) == len(flag_sets)
 
 
 class TestStdin:

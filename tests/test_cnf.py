@@ -148,6 +148,47 @@ class TestParse:
         with pytest.raises(DimacsParseError, match="0-terminated"):
             parse_dimacs("p cnf 2 1\n1 -2\n%\n0\n")
 
+    def test_matches_clauses_built_from_ints(self):
+        # seeded random DIMACS text with repeated literals, tautologies,
+        # empty clauses, clauses that span lines, literals spelled more
+        # than one way and sometimes a '%' trailer: the parse is the
+        # formula built with Clause.from_ints clause by clause
+        rng = random.Random(0xD1AC)
+        repeats = tautologies = spanning = 0
+        for _ in range(120):
+            n = rng.randint(1, 12)
+            rows = []
+            for _ in range(rng.randint(0, 20)):
+                ints = [rng.choice((1, -1)) * rng.randint(1, n)
+                        for _ in range(rng.randint(0, 5))]
+                if ints and rng.random() < 0.3:
+                    ints.insert(rng.randrange(len(ints) + 1), rng.choice(ints))
+                if ints and rng.random() < 0.2:
+                    ints.append(-rng.choice(ints))
+                rows.append(ints)
+                repeats += len(set(ints)) < len(ints)
+                tautologies += Clause.from_ints(ints).is_tautology
+            tokens = []
+            for ints in rows:
+                tokens += [("-" if t < 0 else rng.choice(("", "+")))
+                           + rng.choice(("", "", "0")) + str(abs(t))
+                           for t in ints]
+                tokens.append(rng.choice(("0", "0", "00", "-0")))
+            lines = [f"p cnf {n} {len(rows)}", "c random"]
+            while tokens:
+                cut = rng.randint(1, 6)
+                lines.append(" ".join(tokens[:cut]))
+                tokens = tokens[cut:]
+            spanning += any(not line.endswith("0") for line in lines[2:])
+            if rng.random() < 0.5:
+                lines += ["%", "0"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                parsed = parse_dimacs("\n".join(lines) + "\n")
+            assert parsed == CnfFormula(
+                n, [Clause.from_ints(ints) for ints in rows], ["random"])
+        assert repeats and tautologies and spanning
+
     def test_count_mismatch_is_warning(self):
         with pytest.warns(UserWarning, match="declares 3"):
             f = parse_dimacs("p cnf 2 3\n1 0\n")

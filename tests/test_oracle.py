@@ -1,6 +1,7 @@
 """The exhaustive truth-table oracle itself."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,17 @@ from projsat.oracle import (
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, random_clause, random_cnf,
                      random_func)
 from projsat import parse_dimacs
+
+
+def random_3sat_at_the_cap():
+    """The seeded 24-variable random 3-SAT that CI also verifies."""
+    rng = random.Random(24)
+    n = MAX_TABLE_VARS
+    formula = CnfFormula(n, [
+        Clause.from_ints(v * rng.choice((1, -1))
+                         for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(40)])
+    return formula, rng
 
 
 class TestIndexing:
@@ -106,12 +118,8 @@ class TestFormulaTables:
                 assert tt_of_formula(formula).bits.tolist() == want
 
     def test_random_3sat_at_the_cap(self):
-        rng = random.Random(24)
-        n = MAX_TABLE_VARS
-        formula = CnfFormula(n, [
-            Clause.from_ints(v * rng.choice((1, -1))
-                             for v in rng.sample(range(1, n + 1), 3))
-            for _ in range(40)])
+        formula, rng = random_3sat_at_the_cap()
+        n = formula.var_count
         table = tt_of_formula(formula)
         assert 0 < table.count() < 1 << n
         models = np.flatnonzero(table.bits)
@@ -143,6 +151,23 @@ class TestBridge:
         for _ in range(40):
             f, table = random_func(s, rng)
             assert np.array_equal(tt_of_func(f).bits, table)
+
+    def test_table_at_the_cap_stays_small(self):
+        # the 16 MiB table of a 2,810-node function over 24 variables:
+        # the descent's peak stays within three times the table (it
+        # peaked at 120 MiB when each level gathered through full-size
+        # int32 temporaries), and its table is the formula's
+        formula, _ = random_3sat_at_the_cap()
+        final = formula_to_func(formula, BoolSpace(formula.var_count))
+        assert final.node_count() == 2810
+        tracemalloc.start()
+        try:
+            table = tt_of_func(final)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 << 20
+        assert np.array_equal(table.bits, tt_of_formula(formula).bits)
 
     def test_matches_pointwise_evaluation(self):
         # the level-by-level descent against the engine's own evaluator,
