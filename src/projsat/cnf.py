@@ -82,6 +82,8 @@ class CnfFormula:
     comments: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.var_count < 0:
+            raise ValueError("variable count must be >= 0")
         for clause in self.clauses:
             for lit in clause.literals:
                 if not 0 <= lit.var < self.var_count:
@@ -215,7 +217,15 @@ def clause_to_func(clause: Clause, space: BoolSpace) -> BoolFunc:
 
 
 def formula_to_func(formula: CnfFormula, space: BoolSpace) -> BoolFunc:
-    """Conjunction of all clause functions; an empty list is constant 1."""
+    """Conjunction of all clause functions; an empty list is constant 1.
+
+    The clauses are conjoined in input order, which can cost far more
+    than the formula's final BDD: on the 99-variable planted formula of
+    tests/test_cli.py's sweep_formulas it exhausted a 2 GiB address-space
+    limit, while the same conjunction in bottom_up_key order, the order
+    oracle_check uses, builds it in about 0.07 s.  bench/run.py times
+    this order as its ref.conjoin_s yardstick.
+    """
     out = space.true
     for clause in formula.clauses:
         out = out & clause_to_func(clause, space)

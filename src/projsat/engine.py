@@ -222,44 +222,6 @@ class BoolSpace:
         return BoolFunc(self, self._ite(cond._handle, when_true._handle,
                                         when_false._handle))
 
-    def restrict(self, funcs: Sequence["BoolFunc"],
-                 assignment: Mapping[int, int]) -> list["BoolFunc"]:
-        """Cofactor each function by one cube, in one walk.
-
-        Pins each variable index in ``assignment`` to its bit, as
-        :meth:`BoolFunc.restrict` does, for every function in
-        ``funcs``; a subgraph they share is restricted once.
-        """
-        n = len(self._names)
-        mask = bits = 0
-        for index, bit in assignment.items():
-            if not 0 <= index < n:
-                raise ValueError("variable index out of range")
-            mask |= self._level_bits[index]
-            if bit:
-                bits |= self._level_bits[index]
-        return self.restrict_bits(funcs, mask, bits)
-
-    def restrict_bits(self, funcs: Sequence["BoolFunc"], mask: int,
-                      bits: int) -> list["BoolFunc"]:
-        """Like :meth:`restrict`, the cube given as two masks.
-
-        Pins each variable i whose bit is set in ``mask`` to bit i of
-        ``bits``; bits outside ``mask`` are ignored.  This is the checked
-        entry to :meth:`_restricted`, the cube made by :meth:`_cube`; the
-        solver's factor build, the other caller of both, works on raw
-        handles and checks nothing.
-        """
-        if mask < 0 or bits < 0 or mask.bit_length() > len(self._names):
-            raise ValueError("variable index out of range")
-        for func in funcs:
-            self._check(func)
-        pinned, value = self._cube(mask, bits)
-        memo: dict[int, int] = {}
-        return [BoolFunc(self, self._restricted(func._handle, mask, pinned,
-                                                value, memo))
-                for func in funcs]
-
     def collect(self, roots: Iterable["BoolFunc"]) -> None:
         """Sweep the nodes that no root reaches, once the table has grown.
 
@@ -316,7 +278,7 @@ class BoolSpace:
         One character per level, the constants' level n included:
         ``pinned`` reads "1" at a pinned level, and ``value`` reads its
         bit there.  Both callers of :meth:`_restricted` make their cube
-        here: :meth:`restrict_bits` and the solver's factor build.
+        here: :meth:`BoolFunc.restrict` and the solver's factor build.
         """
         width = len(self._names) + 1
         return f"{mask:0{width}b}"[::-1], f"{bits:0{width}b}"[::-1]
@@ -333,9 +295,9 @@ class BoolSpace:
         back unchanged, so the recursion depth is bounded by the
         unpinned levels above the deepest pin.  ``memo`` maps each handle
         already restricted to its result under this one cube: each
-        :meth:`restrict_bits` call makes its own, shared by the functions
-        it restricts, and the solver's factor build makes one per cube
-        its walk gathers, shared by the frozen factor and the clause.
+        :meth:`BoolFunc.restrict` call makes its own, and the solver's
+        factor build makes one per cube its walk gathers, shared by the
+        frozen factor and the clause.
         """
         masks = self._masks
         if not masks[handle] & mask:
@@ -631,7 +593,19 @@ class BoolFunc:
         for every listed i, in one walk linear in the size of f.  An
         empty assignment returns f unchanged.
         """
-        return self.space.restrict((self,), assignment)[0]
+        space = self.space
+        level_bits = space._level_bits
+        n = len(level_bits)
+        mask = bits = 0
+        for index, bit in assignment.items():
+            if not 0 <= index < n:
+                raise ValueError("variable index out of range")
+            mask |= level_bits[index]
+            if bit:
+                bits |= level_bits[index]
+        pinned, value = space._cube(mask, bits)
+        return BoolFunc(space, space._restricted(self._handle, mask, pinned,
+                                                 value, {}))
 
     def format_expr(self, max_terms: Optional[int] = None) -> str:
         """Sum-of-products rendering built from the 1-paths.

@@ -54,11 +54,13 @@ factor when it is needed, by a walk over the records from the newest
 back, skipped ones passed over, with A empty at the start.  The walk
 stops at the first level whose P_s|A is 1, where the value is C|A; a
 level whose P_s|A is 0 is the branch below it and is passed through;
-every other level is an ite of the result.  A factor is
-needed only as a candidate target: the search starts after the last
-target, and the first candidate that is not 1 is the target.  Those
-before it are 1 and stay 1, since ite(P, C, 1) == 1 when C is 1 on the
-ON-set of P, so their steps are skipped; and the target becomes
+every other level is an ite of the result.  The clause is restricted
+only where its restriction is used: at each kept level and where the
+walk ends, never at a level passed through.  A factor is needed only
+as a candidate target: the search starts after the last target, and
+the first candidate that is not 1 is the target.  Those before it are
+1 and stay 1, since ite(P, C, 1) == 1 when C is 1 on the ON-set of P,
+so their steps are skipped; and the target becomes
 
     ite(f, C_t, t restricted by its own pins) == f & C_t,
 
@@ -238,7 +240,8 @@ def _built(clause: BoolFunc, steps: list[StepRecord]) -> int:
     back and stops at the first frozen factor whose restriction by the
     pins gathered so far is 1; a restriction that is 0 passes the walk
     through, and each other one is a level of the result, in the
-    unrolled recurrence of the module docstring.
+    unrolled recurrence of the module docstring.  The clause is
+    restricted only at those kept levels and where the walk ends.
 
     The walk calls the space's unchecked cores on node handles, since
     every function it reads belongs to the space: it spells each cube
@@ -262,11 +265,9 @@ def _built(clause: BoolFunc, steps: list[StepRecord]) -> int:
         cond = restricted(step.func._handle, mask, pinned, value, memo)
         if cond == 1:
             break
-        # restricted where passed through too: the nodes it makes are
-        # part of the table sizes that the records report
-        then = restricted(handle, mask, pinned, value, memo)
         if cond != 0:
-            levels.append((cond, then))
+            levels.append((cond, restricted(handle, mask, pinned, value,
+                                            memo)))
         # the step's own pins win: its restriction no longer tests them
         bits = (bits & ~support) | step.bits
         mask |= support

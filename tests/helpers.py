@@ -126,29 +126,27 @@ def reference_built(clause, steps):
     """solve()'s factor build through the public engine API, as a reference.
 
     Walks ``steps`` from the newest record back as solve() does, with
-    the checked restrict_bits and ite.  Returns the built factor and the
-    walk's levels: the frozen factor of each pinned record walked, as
-    restricted by the pins gathered above it, where 1 ends the walk, 0
-    passes it through and any other function is a level of the factor.
+    BoolFunc.restrict and the checked ite, the cube gathered as a dict.
+    Returns the built factor and the walk's levels: the frozen factor of
+    each pinned record walked, as restricted by the pins gathered above
+    it, where 1 ends the walk, 0 passes it through and any other
+    function is a level of the factor.
     """
     space = clause.space
-    mask = bits = 0
+    cube = {}
     walk, levels = [], []
     for step in reversed(steps):
-        pinned = step.support
-        if pinned is None:
+        if step.support is None:
             continue
-        cond, value = space.restrict_bits((step.func, clause), mask, bits)
+        cond = step.func.restrict(cube)
         walk.append(cond)
         if cond == space.true:
             break
         if cond != space.false:
-            levels.append((cond, value))
+            levels.append((cond, clause.restrict(cube)))
         # the step's own pins win: its restriction no longer tests them
-        bits = (bits & ~pinned) | step.bits
-        mask |= pinned
-    else:
-        value = space.restrict_bits((clause,), mask, bits)[0]
+        cube.update(step.pins)
+    value = clause.restrict(cube)
     for cond, then in reversed(levels):
         value = space.ite(cond, then, value)
     return value, walk

@@ -216,6 +216,10 @@ class TestFormulaType:
         with pytest.raises(ValueError, match="out of range"):
             CnfFormula(1, [Clause.from_ints([2])])
 
+    def test_negative_var_count_rejected(self):
+        with pytest.raises(ValueError, match="variable count"):
+            CnfFormula(-1, [])
+
 
 class TestToFunc:
     def test_clause_disjunction(self):

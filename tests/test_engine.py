@@ -462,16 +462,10 @@ class TestRestrict:
         funcs = [random_func(s, rng)[0] for _ in range(20)]
         funcs += [s.true, s.false]
         unique = dict(s._unique)
-        for f in funcs:
-            assert f.restrict({}) == f
-        # the same handles come back and no node is made, whatever bits
-        # are given outside the (empty) mask
-        out = s.restrict_bits(funcs, 0, 0b1011)
+        # the same handles come back and no node is made
+        out = [f.restrict({}) for f in funcs]
         assert [f._handle for f in out] == [f._handle for f in funcs]
-        assert s.restrict(funcs, {}) == funcs
         assert s._unique == unique
-        with pytest.raises(TypeError):
-            s.restrict_bits([0], 0, 0)
 
     def test_full_cube_is_the_value_at_the_point(self):
         rng = random.Random(23)
@@ -499,33 +493,6 @@ class TestRestrict:
             s.var(0).restrict({3: 1})
         with pytest.raises(ValueError):
             s.var(0).restrict({-1: 0})
-        with pytest.raises(ValueError):
-            s.restrict([s.var(0)], {3: 1})
-        for mask, bits in ((1 << 3, 0), (-1, 0), (1, -1)):
-            with pytest.raises(ValueError):
-                s.restrict_bits([s.var(0)], mask, bits)
-        # bits outside the mask are ignored
-        assert s.restrict_bits([s.var(0)], 0b10, 0b111) == [s.var(0)]
-
-    def test_space_restrict_matches_each_function(self):
-        # functions built from shared parts, restricted in one walk
-        rng = random.Random(25)
-        s = BoolSpace(6)
-        for _ in range(60):
-            funcs = [random_func(s, rng)[0] for _ in range(4)]
-            funcs += [funcs[0] & funcs[1], funcs[0] | funcs[2], s.true,
-                      s.false, funcs[0]]
-            pinned = rng.sample(range(6), rng.randint(0, 6))
-            cube = {v: rng.randint(0, 1) for v in pinned}
-            assert s.restrict(funcs, cube) == [f.restrict(cube) for f in funcs]
-        assert s.restrict([], {0: 1}) == []
-
-    def test_space_restrict_checks_its_functions(self):
-        s, other = BoolSpace(3), BoolSpace(3)
-        with pytest.raises(ValueError):
-            s.restrict([s.var(0), other.var(0)], {0: 1})
-        with pytest.raises(TypeError):
-            s.restrict([0], {0: 1})
 
 
 class TestCollect:
@@ -658,7 +625,7 @@ class TestSupportMasks:
                 else:
                     pinned = rng.sample(range(n), rng.randint(0, n))
                     cube = {v: rng.randint(0, 1) for v in pinned}
-                    pool += s.restrict([f, g], cube)
+                    pool += [f.restrict(cube), g.restrict(cube)]
             nodes, masks = s._nodes, s._masks
             assert len(masks) == len(nodes)
             assert masks[:2] == [0, 0]
@@ -713,7 +680,8 @@ class TestReferenceCycles:
             alive = weakref.ref(s)
             f = s.var(0) | s.var(2)
             s.ite(f, s.var(1), (s.var(1) ^ s.var(3)).restrict({1: 0, 3: 1}))
-            s.restrict([f, s.var(3)], {2: 0})
+            f.restrict({2: 0})
+            s.var(3).restrict({2: 0})
             del s, f
             assert alive() is None
             assert gc.collect() == 0
@@ -853,7 +821,7 @@ class TestDeepGraphs:
         f = above & literals[899]
         assert f.restrict({899: 0}) == s.false
         assert f.restrict({899: 1}) == above
-        assert s.restrict([s.false, f], {899: 1}) == [s.false, above]
+        assert s.false.restrict({899: 1}) == s.false
 
 
 class TestRepr:
