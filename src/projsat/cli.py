@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -131,8 +132,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_OK
 
 
-#: Rows rendered per block of 'v' lines.
-_BLOCK_ROWS = 1 << 14
+#: Bytes of 'v' lines rendered per block, whatever the line width.
+_BLOCK_BYTES = 1 << 20
 
 
 def _write_witnesses(points: PointRows) -> None:
@@ -149,8 +150,9 @@ def _write_witnesses(points: PointRows) -> None:
     slots = b"".join(f"-{var} ".encode("ascii").ljust(width, b"\0")
                      for var in range(1, var_count + 1))
     template = np.frombuffer(b"v " + slots + b"0\n", dtype=np.uint8)
-    for start in range(0, len(points), _BLOCK_ROWS):
-        bits = np.unpackbits(points.rows[start:start + _BLOCK_ROWS], axis=1,
+    block = max(1, _BLOCK_BYTES // template.size)
+    for start in range(0, len(points), block):
+        bits = np.unpackbits(points.rows[start:start + block], axis=1,
                              count=var_count)
         lines = np.tile(template, (len(bits), 1))
         # the '-' of each slot, one column per variable
@@ -232,7 +234,21 @@ def _emit(result: SolveResult, solutions: Optional[PointRows],
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """The console script: run() on sys.argv, ending cleanly on a closed pipe.
+
+    When the reader of stdout goes away (``projsat ... | head -1``),
+    the output left unwritten is dropped and the exit code is
+    EXIT_ERROR, with nothing on stderr.  stdout is pointed at devnull
+    first, so the flush at interpreter exit cannot fail again.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_ERROR
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

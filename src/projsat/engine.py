@@ -161,8 +161,6 @@ class BoolSpace:
         self._nodes: list[Optional[tuple[int, int, int]]] = [
             (n, _FALSE, _FALSE), (n, _TRUE, _TRUE)]
         self._masks: list[Optional[int]] = [0, 0]
-        # the mask of each variable alone, made once
-        self._level_bits = [1 << i for i in range(n)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         # decision nodes left by the last sweep
@@ -260,6 +258,11 @@ class BoolSpace:
             raise ValueError("functions belong to different spaces")
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
+        """The handle of the node (level, lo, hi), reduced and hash-consed.
+
+        This is the only place a node is made: its row, its support mask
+        and its unique-table entry are written here and nowhere else.
+        """
         if lo == hi:
             return lo
         key = (level, lo, hi)
@@ -268,7 +271,7 @@ class BoolSpace:
             handle = len(self._nodes)
             self._nodes.append(key)
             masks = self._masks
-            masks.append(masks[lo] | masks[hi] | self._level_bits[level])
+            masks.append(masks[lo] | masks[hi] | 1 << level)
             self._unique[key] = handle
         return handle
 
@@ -368,19 +371,7 @@ class BoolSpace:
             hi = c_hi
         else:
             hi = self._ite(c_hi, y_hi, n_hi)
-        # _mk, inline
-        if lo == hi:
-            result = lo
-        else:
-            node = (level, lo, hi)
-            unique = self._unique
-            result = unique.get(node)
-            if result is None:
-                result = len(nodes)
-                nodes.append(node)
-                masks = self._masks
-                masks.append(masks[lo] | masks[hi] | self._level_bits[level])
-                unique[node] = result
+        result = self._mk(level, lo, hi)
         cache[key] = result
         return result
 
@@ -594,15 +585,14 @@ class BoolFunc:
         empty assignment returns f unchanged.
         """
         space = self.space
-        level_bits = space._level_bits
-        n = len(level_bits)
+        n = space.var_count
         mask = bits = 0
         for index, bit in assignment.items():
             if not 0 <= index < n:
                 raise ValueError("variable index out of range")
-            mask |= level_bits[index]
+            mask |= 1 << index
             if bit:
-                bits |= level_bits[index]
+                bits |= 1 << index
         pinned, value = space._cube(mask, bits)
         return BoolFunc(space, space._restricted(self._handle, mask, pinned,
                                                  value, {}))

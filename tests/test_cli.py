@@ -1,7 +1,8 @@
 """End-to-end tests for the command-line front end.
 
-Everything goes through projsat.cli.run(argv) so exit codes and the
-exact s/v line protocol are pinned down without spawning subprocesses.
+Nearly everything goes through projsat.cli.run(argv) so exit codes and
+the exact s/v line protocol are pinned down without spawning
+subprocesses; a few tests compare with, or need, a real process.
 """
 
 import io
@@ -10,14 +11,18 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from projsat import BoolSpace, Clause, CnfFormula, formula_to_func, parse_dimacs
+from projsat import cli
 from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, run
 from projsat.cnf import emit_dimacs
+from projsat.engine import PointRows
 from projsat.oracle import MAX_TABLE_VARS, formula_satisfied, tt_of_formula
 from projsat.solver import FACTOR_ORDERS, bottom_up_key
 
@@ -33,6 +38,15 @@ def parse_witness_line(line):
     lits = [int(t) for t in tokens[1:-1]]
     assert [abs(v) for v in lits] == list(range(1, len(lits) + 1))
     return tuple(1 if v > 0 else 0 for v in lits)
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, stdin_text=None, tmp_path=None, cnf=None, capsys=None,
@@ -155,10 +169,7 @@ class TestParserReuse:
         path.write_text(FOUR_VAR_SAT)
         flag_sets = (["--json", "--mode", "all"], [],
                      ["--mode", "trace", "--order", "input"])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parent.parent / "src"),
-            env.get("PYTHONPATH")]))
+        env = src_env()
         outputs = []
         for flags in flag_sets:
             argv = ["--input", str(path)] + flags
@@ -511,3 +522,57 @@ class TestVLines:
                                        tmp_path=tmp_path, capsys=capsys)
                 assert code == (EXIT_SAT if mode == "solve" else EXIT_OK)
                 assert out.endswith("s SATISFIABLE\n" + line)
+
+
+class TestClosedPipe:
+    # the console script's main(), as `projsat ... | head -1` meets it
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_exits_1_without_a_traceback(self, tmp_path, flags):
+        # the 32768 models of the clause-free 15-variable formula fill
+        # far more than a pipe holds; the reader takes the first bytes
+        # and goes away while the writer is still blocked on the rest
+        path = tmp_path / "free15.cnf"
+        path.write_text("p cnf 15 0\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "projsat", "--input", str(path),
+             "--mode", "all"] + flags,
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline(8)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_ERROR
+        assert err == b""
+
+
+class TestVLineBlocks:
+    # _write_witnesses renders a block of at most _BLOCK_BYTES of lines
+    # at a time, so a wide line means fewer rows per block
+
+    N = 1000
+    # 'v ', 1000 slots of 6 bytes, '0\n'
+    LINE = 2 + 6 * N + 2
+
+    def test_peak_memory_is_bounded_by_the_block(self, monkeypatch):
+        # 16384 lines of 1000 variables fill 94 MiB of slots
+        rows = np.random.default_rng(0xB10C).integers(
+            0, 256, size=(1 << 14, self.N // 8), dtype=np.uint8)
+        points = PointRows(rows, self.N)
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                cli._write_witnesses(points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_lines_across_blocks_match_the_reference(self, capsys):
+        block = cli._BLOCK_BYTES // self.LINE
+        rng = random.Random(0xB10D)
+        points = [tuple(rng.getrandbits(1) for _ in range(self.N))
+                  for _ in range(3 * block + 5)]
+        cli._write_witnesses(PointRows.from_points(points, self.N))
+        assert capsys.readouterr().out == reference_v_lines(points, self.N)

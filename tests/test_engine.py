@@ -3,6 +3,7 @@
 import gc
 import random
 import threading
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -13,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows, solve
 from projsat import engine
 from projsat.oracle import tt_of_func
+from projsat.solver import FACTOR_ORDERS
 
-from helpers import bit_columns, implication_chain, random_func
+from helpers import bit_columns, implication_chain, random_3sat, random_func
 
 
 def all_points(n):
@@ -588,6 +590,54 @@ class TestCollect:
         assert len(s._unique) == len(s._nodes) - 2
         for f, table in built:
             assert np.array_equal(tt_of_func(f).bits, table)
+
+
+class TestNodeTable:
+    def test_every_node_is_made_by_mk(self, monkeypatch):
+        # _mk is the table's one writer: each handle ever given out,
+        # swept ones included, is one that a call of _mk added
+        made = {}
+        mk = BoolSpace._mk
+
+        def recording_mk(space, level, lo, hi):
+            size = len(space._nodes)
+            handle = mk(space, level, lo, hi)
+            if len(space._nodes) > size:
+                made.setdefault(space, set()).add(handle)
+            return handle
+
+        monkeypatch.setattr(BoolSpace, "_mk", recording_mk)
+        # sweeps rebuild the unique table; let them run often
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        chain, _ = implication_chain(300, random.Random(41))
+        rng = random.Random(42)
+        rng.shuffle(chain.clauses)
+        spaces = []
+        for formula in (random_3sat(20, 4.26, rng), chain):
+            for order in FACTOR_ORDERS:
+                spaces.append(solve(formula, order).final.space)
+        s = BoolSpace(6)
+        funcs = [random_func(s, random.Random(seed))[0] for seed in range(10)]
+        derived = [h for f, g in zip(funcs, funcs[1:])
+                   for h in ((f & g) | (f ^ ~g),
+                             f.compose([g, f, s.var(2), ~g, s.var(4), f]),
+                             f.restrict({0: 1, 3: 0, 5: 1}))]
+        spaces.append(s)
+        for space in spaces:
+            assert made[space] == set(range(2, len(space._nodes)))
+            assert set(space._unique.values()) <= made[space]
+        assert {h._handle for h in derived} - {0, 1} <= made[s]
+
+    def test_a_space_costs_no_memory_per_pair_of_levels(self):
+        # a new space holds its names and their index, linear in n,
+        # and no table whose size grows with n**2
+        tracemalloc.start()
+        try:
+            BoolSpace(50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
 
 def walked_mask(space, handle):
