@@ -163,6 +163,8 @@ class BoolSpace:
         self._masks: list[Optional[int]] = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
+        # the last cube _restricted walked by, kept by _spelled
+        self._kept_cube: Optional[tuple] = None
         # decision nodes left by the last sweep
         self._live_after_sweep = 0
 
@@ -275,36 +277,38 @@ class BoolSpace:
             self._unique[key] = handle
         return handle
 
-    def _cube(self, mask: int, bits: int) -> tuple[str, str]:
-        """The cube (mask, bits) spelled out per level for :meth:`_restricted`.
+    def _restricted(self, handle: int, mask: int, bits: int) -> int:
+        """The handle with each variable in ``mask`` pinned to its bit in ``bits``.
 
-        One character per level, the constants' level n included:
-        ``pinned`` reads "1" at a pinned level, and ``value`` reads its
-        bit there.  Both callers of :meth:`_restricted` make their cube
-        here: :meth:`BoolFunc.restrict` and the solver's factor build.
+        A handle whose support misses ``mask`` comes back unwalked.  The
+        walk reads the cube spelled out per level by :meth:`_spelled`,
+        which the space keeps until another cube arrives, and a memo of
+        its own.  Pinned levels are followed as a path, without
+        recursion, so the depth is bounded by the unpinned levels above
+        the deepest pin.
+        """
+        if not self._masks[handle] & mask:
+            return handle
+        kept = self._kept_cube
+        if kept is None or kept[0] != mask or kept[1] != bits:
+            kept = self._spelled(mask, bits)
+        return self._restricted_walk(handle, mask, kept[2], kept[3], {})
+
+    def _spelled(self, mask: int, bits: int) -> tuple:
+        """Keep the cube as (mask, bits, pinned, value).
+
+        ``pinned`` reads "1" at each pinned level and ``value`` its bit,
+        one character per level, the constants' level n included.  It
+        names no node, so a sweep leaves it valid.
         """
         width = len(self._names) + 1
-        return f"{mask:0{width}b}"[::-1], f"{bits:0{width}b}"[::-1]
+        self._kept_cube = kept = (mask, bits, f"{mask:0{width}b}"[::-1],
+                                  f"{bits:0{width}b}"[::-1])
+        return kept
 
-    def _restricted(self, handle: int, mask: int, pinned: str, value: str,
-                    memo: dict[int, int]) -> int:
-        """The handle with each variable in ``mask`` pinned to its bit.
-
-        ``pinned`` and ``value`` spell ``mask`` and the bits out per
-        level, as :meth:`_cube` makes them; they are not read when
-        ``mask`` is 0, since every handle then comes back unchanged.
-        Pinned levels are followed as a path, without recursion, and a
-        node whose support misses ``mask`` (a constant among them) comes
-        back unchanged, so the recursion depth is bounded by the
-        unpinned levels above the deepest pin.  ``memo`` maps each handle
-        already restricted to its result under this one cube: each
-        :meth:`BoolFunc.restrict` call makes its own, and the solver's
-        factor build makes one per cube its walk gathers, shared by the
-        frozen factor and the clause.
-        """
+    def _restricted_walk(self, handle: int, mask: int, pinned: str,
+                         value: str, memo: dict[int, int]) -> int:
         masks = self._masks
-        if not masks[handle] & mask:
-            return handle
         nodes = self._nodes
         level, lo, hi = nodes[handle]
         while pinned[level] == "1":
@@ -314,9 +318,9 @@ class BoolSpace:
             return handle
         result = memo.get(handle)
         if result is None:
-            result = self._mk(level,
-                              self._restricted(lo, mask, pinned, value, memo),
-                              self._restricted(hi, mask, pinned, value, memo))
+            walk = self._restricted_walk
+            result = self._mk(level, walk(lo, mask, pinned, value, memo),
+                              walk(hi, mask, pinned, value, memo))
             memo[handle] = result
         return result
 
@@ -533,17 +537,25 @@ class BoolFunc:
         surviving prefix extends to a model, so no level holds more rows
         than the result.
 
-        Raises EnumerationCapError when the function has more than
-        ``cap`` models: the descent stops at the first level whose rows
-        exceed ``cap``.
+        Raises EnumerationCapError, before any row is made, when the
+        function has more than ``cap`` models.  They are counted first,
+        children first, over the levels at and below each node: constant
+        1 counts 1, a child's count doubles per level it skips, and no
+        count is kept above cap + 1, so none outgrows the cap's width.
         """
         n = self.space.var_count
         level, lo, hi, root = self._node_arrays()
+        # each child index is made a Python int only while it is read
+        depth, counts = level.tolist(), [0, 1]
+        for at, low, high in zip(depth[2:], map(int, lo[2:]), map(int, hi[2:])):
+            counts.append(min(cap + 1, (counts[low] << depth[low] - at - 1)
+                              + (counts[high] << depth[high] - at - 1)))
+        if counts[root] << depth[root] > cap:
+            raise EnumerationCapError(
+                f"enumerating more than {cap} models exceeds the cap of {cap}")
         reached = np.array([root] if root != _FALSE else [], dtype=np.int32)
         rows = np.zeros((reached.size, (n + 7) // 8), dtype=np.uint8)
         for var in range(n):
-            if reached.size > cap:
-                break
             tests = level[reached] == var
             children = np.empty(2 * reached.size, dtype=np.int32)
             children[0::2] = np.where(tests, lo[reached], reached)
@@ -553,9 +565,6 @@ class BoolFunc:
             rows = rows.take(live >> 1, axis=0)
             rows[:, var >> 3] |= ((live & 1) << (7 - (var & 7))).astype(np.uint8)
             reached = children[live]
-        if reached.size > cap:
-            raise EnumerationCapError(
-                f"enumerating more than {cap} models exceeds the cap of {cap}")
         return PointRows(rows, n)
 
     def compose(self, subst: Sequence["BoolFunc"]) -> "BoolFunc":
@@ -593,9 +602,7 @@ class BoolFunc:
             mask |= 1 << index
             if bit:
                 bits |= 1 << index
-        pinned, value = space._cube(mask, bits)
-        return BoolFunc(space, space._restricted(self._handle, mask, pinned,
-                                                 value, {}))
+        return BoolFunc(space, space._restricted(self._handle, mask, bits))
 
     def format_expr(self, max_terms: Optional[int] = None) -> str:
         """Sum-of-products rendering built from the 1-paths.

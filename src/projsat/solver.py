@@ -75,10 +75,10 @@ builds a factor gathers its cube A as two such ints too, the mask of
 the pinned variables and their bits, and adds the cube (support, p) of
 a map with the map's pins winning: bits = (bits & ~support) | p and
 mask |= support.  The walk is solve()'s inner loop, so it runs on
-node handles: it calls the space's unchecked restriction and ite
-directly, spells the cube out per level once per record it adds,
-compares handles with the constants 0 and 1, and returns a handle,
-which solve() wraps as a function only once it is the target.  It
+node handles: it hands the space's unchecked restriction the cube as
+those two ints, which the space spells out per level only if they
+meet the support, calls ite directly, compares handles with 0 and 1,
+and returns a handle, which solve() wraps once it is the target.  It
 stops after about two records on the random, pigeonhole and chain
 instances of the benchmark, so the cost left in it is these calls.
 
@@ -244,37 +244,29 @@ def _built(clause: BoolFunc, steps: list[StepRecord]) -> int:
     restricted only at those kept levels and where the walk ends.
 
     The walk calls the space's unchecked cores on node handles, since
-    every function it reads belongs to the space: it spells each cube
-    out once, by _cube(), as the walk adds a record's pins, shares one
-    memo between the frozen factor and the clause under that cube, and
-    compares the handles with the constants 0 and 1.  The caller wraps
-    the handle it keeps.
+    every function it reads belongs to the space: it hands each
+    restriction the cube gathered so far as the two ints, and compares
+    the handles with the constants 0 and 1.  The caller wraps the
+    handle it keeps.
     """
-    space = clause.space
-    restricted = space._restricted
+    restricted = clause.space._restricted
     handle = clause._handle
     mask = bits = 0
-    # an empty cube is never spelled out: _restricted does not read it
-    pinned = value = ""
-    memo: dict[int, int] = {}
     levels = []
     for step in reversed(steps):
         support = step.support
         if support is None:
             continue
-        cond = restricted(step.func._handle, mask, pinned, value, memo)
+        cond = restricted(step.func._handle, mask, bits)
         if cond == 1:
             break
         if cond != 0:
-            levels.append((cond, restricted(handle, mask, pinned, value,
-                                            memo)))
+            levels.append((cond, restricted(handle, mask, bits)))
         # the step's own pins win: its restriction no longer tests them
         bits = (bits & ~support) | step.bits
         mask |= support
-        pinned, value = space._cube(mask, bits)
-        memo = {}
-    result = restricted(handle, mask, pinned, value, memo)
-    ite = space._ite
+    result = restricted(handle, mask, bits)
+    ite = clause.space._ite
     for cond, then in reversed(levels):
         result = ite(cond, then, result)
     return result

@@ -244,3 +244,41 @@ def random_3sat(n: int, ratio: float, rng: random.Random) -> CnfFormula:
         Clause(tuple(Literal(v, rng.random() < 0.5)
                      for v in rng.sample(range(n), 3)))
         for _ in range(round(ratio * n))])
+
+
+def _assigned(clauses, literal):
+    """The clauses left once ``literal`` is true; None if one is falsified."""
+    left = []
+    for clause in clauses:
+        if literal in clause:
+            continue
+        if -literal in clause:
+            clause = clause - {-literal}
+            if not clause:
+                return None
+        left.append(clause)
+    return left
+
+
+def dpll_model_count(formula: CnfFormula) -> int:
+    """The formula's model count by DPLL, in pure Python.
+
+    Unit propagation and splitting (Davis, Logemann & Loveland, CACM
+    1962) on sets of DIMACS integers, sharing no code with the engine:
+    a unit clause is propagated, otherwise the search splits on a
+    literal of a shortest clause, and a branch with every clause
+    satisfied counts 2^k models for its k unassigned variables.
+    """
+    def count(clauses, free):
+        if not clauses:
+            return 1 << free
+        shortest = min(clauses, key=len)
+        literal = next(iter(shortest))
+        choices = (literal,) if len(shortest) == 1 else (literal, -literal)
+        return sum(count(left, free - 1) for choice in choices
+                   if (left := _assigned(clauses, choice)) is not None)
+
+    clauses = [frozenset(clause.to_ints()) for clause in formula.clauses]
+    if not all(clauses):
+        return 0
+    return count(clauses, formula.var_count)

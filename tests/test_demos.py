@@ -1,4 +1,4 @@
-"""Each narrated demo runs to completion against this checkout's code."""
+"""Each narrated demo and the README's quickstart run against this checkout's code."""
 
 import os
 import subprocess
@@ -11,16 +11,29 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(*args):
+    """Run the interpreter with ``args``, importing projsat from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quickstart_runs():
+    section = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "solve(formula)" in code
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr

@@ -367,6 +367,39 @@ class TestEnumeration:
                 f.enumerate_on_set(cap=models - 1)
         assert BoolSpace(0).false.enumerate_on_set(cap=0) == []
 
+    def test_cap_raises_before_any_row(self):
+        # the models are counted before the descent: 2^200 of them
+        # against a cap of 2^20 cost no rows
+        s = BoolSpace(200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=(
+                    "^enumerating more than 1048576 models exceeds "
+                    "the cap of 1048576$")):
+                s.true.enumerate_on_set(cap=1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_model_count_stays_within_the_cap_width(self):
+        # one model on a path of 20,000 nodes: a count taken over the
+        # whole space would give each node a level-wide int, about
+        # 25 MB in all, where the node arrays take 2.5 MiB
+        n = 20_000
+        s = BoolSpace(n)
+        cube = s.true
+        for i in reversed(range(n)):
+            cube = (s.var(i) if i % 2 else ~s.var(i)) & cube
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError):
+                cube.enumerate_on_set(cap=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_matches_truth_table_points(self):
         # rows of 0 to 2 bytes up to n = 10, of 3 bytes from 17 to 20
         rng = random.Random(21)
@@ -378,8 +411,14 @@ class TestEnumeration:
             if n:
                 cases += [random_func(s, rng) for _ in range(12 if n <= 10 else 3)]
             for f, table in cases:
-                got = f.enumerate_on_set()
-                assert got.rows.shape == (table.sum(), (n + 7) // 8)
+                # the count before the descent is exact: cap == models
+                # passes and cap == models - 1 raises
+                models = int(table.sum())
+                got = f.enumerate_on_set(cap=models)
+                assert got.rows.shape == (models, (n + 7) // 8)
+                if models:
+                    with pytest.raises(EnumerationCapError):
+                        f.enumerate_on_set(cap=models - 1)
                 bits = np.unpackbits(got.rows, axis=1, count=n)
                 for var, column in enumerate(columns):
                     assert np.array_equal(bits[:, var], column[table])
@@ -554,6 +593,29 @@ class TestCollect:
             assert np.array_equal(tt_of_func(rebuilt).bits, table)
             if seed % 4 == 0:
                 assert rebuilt == original
+
+    def test_a_sweep_leaves_the_kept_cube_valid(self, monkeypatch, spelled):
+        # the space keeps the last cube spelled out and no handle with
+        # it: after a sweep that frees the first result, the same cube
+        # is not spelled again and its restriction still matches
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 0)
+        s = BoolSpace(6)
+        x = [s.var(i) for i in range(6)]
+        f = (x[0] & x[1]) | (x[2] ^ x[4]) | (x[3] & ~x[5])
+        cube = {1: 1, 4: 0}
+        # the reference pins the table's index bits: x_i weighs 2^(5-i)
+        index = np.arange(64)
+        pinned = tt_of_func(f).bits[(index | 1 << 4) & ~(1 << 1)]
+        first = f.restrict(cube)
+        assert f.restrict(cube) == first
+        assert np.array_equal(tt_of_func(first).bits, pinned)
+        made = s.unique_nodes
+        s.collect([f])
+        assert s.unique_nodes < made
+        assert s._nodes[first._handle] is None
+        again = f.restrict(cube)
+        assert np.array_equal(tt_of_func(again).bits, pinned)
+        assert len(spelled) == 1
 
     def test_a_one_shot_generator_of_roots_keeps_every_root(self, monkeypatch):
         # the roots are read once: a generator is not spent before the

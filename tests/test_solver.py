@@ -33,6 +33,7 @@ from helpers import (
     FOUR_VAR_SAT,
     TWO_VAR_UNSAT,
     compose_path,
+    dpll_model_count,
     eager_path,
     implication_chain,
     pigeonhole,
@@ -790,3 +791,40 @@ class TestOracleCheck:
                 oracle_check(formula, wrong)
             with pytest.raises(RuntimeError):
                 oracle_check(formula, final.space.false)
+
+
+class TestAboveCapModelCount:
+    # a pure-Python DPLL counter is the reference above the truth
+    # table's cap: it shares no code with the engine
+
+    def test_counter_matches_the_truth_table(self):
+        rng = random.Random(0xD9A9)
+        for _ in range(60):
+            formula = random_cnf(rng, max_vars=8, max_clauses=30)
+            assert dpll_model_count(formula) == int(tt_of_formula(formula).bits.sum())
+
+    @pytest.mark.parametrize("order, n, seed", [
+        ("bottom-up", 30, 0xD9A0), ("bottom-up", 34, 0xD9A3),
+        ("bottom-up", 40, 0xD9A1), ("input", 26, 0xD9A1),
+        ("input", 28, 0xD9A1)])
+    def test_verdict_and_model_count(self, order, n, seed):
+        # random 3-SAT at ratio 4.26; the first and the fourth are UNSAT
+        formula = random_3sat(n, 4.26, random.Random(seed))
+        final = solve(formula, order).final
+        models = dpll_model_count(formula)
+        assert final.is_sat() == (models > 0)
+        assert len(final.enumerate_on_set()) == models
+
+
+class TestCubeSpelling:
+    def test_disjoint_unit_clauses_spell_no_cube(self, spelled):
+        # every frozen factor's support misses the cubes of the records
+        # after it, so no restriction of a build walks and no cube is
+        # spelled out, in either order
+        n = 300
+        formula = CnfFormula(n, [Clause.from_ints([-v]) for v in range(15, n + 1)])
+        for order in FACTOR_ORDERS:
+            res = solve(formula, order)
+            assert res.witness == (0,) * n
+            assert sum(step.support is not None for step in res.steps) == n - 15
+        assert spelled == []
