@@ -357,25 +357,8 @@ class BoolSpace:
             y_lo = y_hi = yes
         if n_var != level:
             n_lo = n_hi = no
-        # the terminal cases of each branch are settled here, as at the
-        # top, without a call
-        if c_lo == 1:
-            lo = y_lo
-        elif c_lo == 0 or y_lo == n_lo:
-            lo = n_lo
-        elif y_lo == 1 and n_lo == 0:
-            lo = c_lo
-        else:
-            lo = self._ite(c_lo, y_lo, n_lo)
-        if c_hi == 1:
-            hi = y_hi
-        elif c_hi == 0 or y_hi == n_hi:
-            hi = n_hi
-        elif y_hi == 1 and n_hi == 0:
-            hi = c_hi
-        else:
-            hi = self._ite(c_hi, y_hi, n_hi)
-        result = self._mk(level, lo, hi)
+        result = self._mk(level, self._ite(c_lo, y_lo, n_lo),
+                          self._ite(c_hi, y_hi, n_hi))
         cache[key] = result
         return result
 

@@ -163,17 +163,6 @@ class StepRecord:
     support: Optional[int]
     bits: Optional[int]
 
-    @classmethod
-    def from_pins(cls, remaining_before: int, remaining_after: int,
-                  func: BoolFunc,
-                  pins: Optional[dict[int, int]]) -> "StepRecord":
-        """The record whose cube is ``pins``, {v: bit} (None: skipped)."""
-        if pins is None:
-            return cls(remaining_before, remaining_after, func, None, None)
-        support = sum(1 << v for v in pins)
-        bits = sum(1 << v for v, bit in pins.items() if bit)
-        return cls(remaining_before, remaining_after, func, support, bits)
-
     @property
     def off_point(self) -> Optional[tuple[int, ...]]:
         """The target's off-point p (None if no pins)."""

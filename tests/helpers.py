@@ -152,14 +152,26 @@ def reference_built(clause, steps):
     return value, walk
 
 
+def record_from_pins(func, pins):
+    """The step record whose cube is ``pins``, {v: bit} (None: skipped).
+
+    Both table figures read 0, which record equality leaves out.
+    """
+    if pins is None:
+        return StepRecord(0, 0, func, None, None)
+    support = sum(1 << v for v in pins)
+    bits = sum(1 << v for v, bit in pins.items() if bit)
+    return StepRecord(0, 0, func, support, bits)
+
+
 def _reference_path(formula: CnfFormula, space: BoolSpace, factor_order,
                     step):
     """The solver's loop over every remaining factor, as a reference.
 
     ``step(current, target, factors)`` returns the step's pins, as a
     dict, and every remaining factor rewritten through its map.  Returns
-    the step records, each made from its pins by StepRecord.from_pins,
-    and the final factor in the form solve() gives them, with 0 for the
+    the step records, each made from its pins by record_from_pins, and
+    the final factor in the form solve() gives them, with 0 for the
     table figures remaining_before and remaining_after, which record
     equality leaves out; meant for formulas whose clauses are all
     non-empty.
@@ -173,13 +185,13 @@ def _reference_path(formula: CnfFormula, space: BoolSpace, factor_order,
         if not current.is_sat() or i == len(working) - 1:
             break
         if current == space.true:
-            steps.append(StepRecord.from_pins(0, 0, current, None))
+            steps.append(record_from_pins(current, None))
             continue
         target = next((f for f in working[i + 1:] if f != space.true), None)
         if target is None:
             break
         pins, working[i + 1:] = step(current, target, working[i + 1:])
-        steps.append(StepRecord.from_pins(0, 0, current, pins))
+        steps.append(record_from_pins(current, pins))
     return steps, current
 
 
@@ -196,7 +208,7 @@ def compose_path(formula: CnfFormula, space: BoolSpace,
     def step(current, target, factors):
         proj = projection_for(current, target)
         pins = projection_pins(proj)
-        record = StepRecord.from_pins(0, 0, current, pins)
+        record = record_from_pins(current, pins)
         assert record.off_point == proj.off_point
         return pins, [f.compose(proj.subst) for f in factors]
 

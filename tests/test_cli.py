@@ -103,9 +103,11 @@ class TestExitCodes:
                                 "conjunction of the clauses")
             assert lines[-2] == "s SATISFIABLE"
             assert parse_witness_line(lines[-1]) == model
-            code, _, _ = run_cli(["--oracle-check"], cnf=emit_dimacs(formula),
-                                 tmp_path=tmp_path, capsys=capsys)
+            # a plain run prints the same answer without the checks
+            code, plain, _ = run_cli([], cnf=emit_dimacs(formula),
+                                     tmp_path=tmp_path, capsys=capsys)
             assert code == EXIT_SAT
+            assert plain.splitlines() == lines[-2:]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["--input", "/no/such/file.cnf"],
@@ -283,7 +285,9 @@ class TestJsonOutput:
                                capsys=capsys)
         assert code == EXIT_OK
         data = json.loads(out)
-        assert any("unsatisfiability" in check for check in data["verified"])
+        assert data["status"] == "UNSAT"
+        assert data["verified"] == [
+            "final factor agrees with the exhaustive truth table"]
 
 
 class TestTraceMode:
@@ -423,15 +427,18 @@ class TestInvariantsOnRandomInstances:
         for trial in range(25):
             formula = random_cnf(rng, max_vars=8, max_clauses=14)
             text = emit_dimacs(formula)
-            code, out, _ = run_cli(["--oracle-check"], cnf=text,
+            code, out, _ = run_cli(["--mode", "verify"], cnf=text,
                                    tmp_path=tmp_path, capsys=capsys)
+            assert code == EXIT_OK
+            lines = out.splitlines()
             satisfiable = tt_of_formula(formula).count() > 0
             if satisfiable:
-                assert code == EXIT_SAT
-                point = parse_witness_line(out.splitlines()[1])
+                assert lines[-2] == "s SATISFIABLE"
+                point = parse_witness_line(lines[-1])
                 assert formula_satisfied(formula, point)
             else:
-                assert code == EXIT_UNSAT
+                assert lines == ["c verified: final factor agrees with the "
+                                 "exhaustive truth table", "s UNSATISFIABLE"]
 
     def test_order_leaves_answers_unchanged(self, tmp_path, capsys):
         rng = random.Random(0xC12)

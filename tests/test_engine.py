@@ -690,6 +690,31 @@ class TestNodeTable:
             assert set(space._unique.values()) <= made[space]
         assert {h._handle for h in derived} - {0, 1} <= made[s]
 
+    def test_no_terminal_triple_is_cached(self, monkeypatch):
+        # _ite settles a constant condition, equal branches and
+        # ite(c, 1, 0) before its cache, so no such key is ever stored
+        def terminal(cond, yes, no):
+            return cond in (0, 1) or yes == no or (yes, no) == (1, 0)
+
+        # no sweep: the computed table keeps every key it was given
+        monkeypatch.setattr(engine, "_COLLECT_FLOOR", 1 << 62)
+        chain, _ = implication_chain(300, random.Random(43))
+        rng = random.Random(44)
+        rng.shuffle(chain.clauses)
+        caches = []
+        for formula in (random_3sat(20, 4.26, rng), chain):
+            for order in FACTOR_ORDERS:
+                caches.append(solve(formula, order).final.space._ite_cache)
+        s = BoolSpace(6)
+        funcs = [random_func(s, random.Random(seed))[0] for seed in range(10)]
+        for f, g in zip(funcs, funcs[1:]):
+            assert (f & g) | (f ^ g) == f | g
+            assert (f & g).implies(~f | g)
+        caches.append(s._ite_cache)
+        for cache in caches:
+            assert cache
+            assert not [key for key in cache if terminal(*key)]
+
     def test_a_space_costs_no_memory_per_pair_of_levels(self):
         # a new space holds its names and their index, linear in n,
         # and no table whose size grows with n**2
