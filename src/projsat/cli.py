@@ -133,6 +133,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 _BLOCK_BYTES = 1 << 20
 
 
+def _row_blocks(points: PointRows, template: str):
+    """Yield (bits, lines) per block of rows, at most _BLOCK_BYTES of lines.
+
+    ``bits`` holds the block's points, one column per variable, and
+    ``lines`` the ASCII ``template`` as uint8, one copy per point, for
+    the caller to write the bits into.
+    """
+    row = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    block = max(1, _BLOCK_BYTES // row.size)
+    for start in range(0, len(points), block):
+        bits = np.unpackbits(points.rows[start:start + block], axis=1,
+                             count=points.var_count)
+        yield bits, np.tile(row, (len(bits), 1))
+
+
 def _write_witnesses(points: PointRows) -> None:
     """One 'v' line per point, in fixed slots with the NULs deleted.
 
@@ -144,17 +159,28 @@ def _write_witnesses(points: PointRows) -> None:
     """
     var_count = points.var_count
     width = len(str(var_count)) + 2
-    slots = b"".join(f"-{var} ".encode("ascii").ljust(width, b"\0")
-                     for var in range(1, var_count + 1))
-    template = np.frombuffer(b"v " + slots + b"0\n", dtype=np.uint8)
-    block = max(1, _BLOCK_BYTES // template.size)
-    for start in range(0, len(points), block):
-        bits = np.unpackbits(points.rows[start:start + block], axis=1,
-                             count=var_count)
-        lines = np.tile(template, (len(bits), 1))
+    slots = "".join(f"-{var} ".ljust(width, "\0") for var in range(1, var_count + 1))
+    for bits, lines in _row_blocks(points, f"v {slots}0\n"):
         # the '-' of each slot, one column per variable
         lines[:, 2:-2:width] *= 1 - bits
         sys.stdout.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _write_json_rows(points: PointRows) -> None:
+    """The points as one JSON list of bit lists, spelled as json.dumps does.
+
+    Each point is the fixed-width text ', [b, b, ..., b]', its bits
+    added to the '0's of an all-zero template; the first point drops
+    its ', '.
+    """
+    n = points.var_count
+    sys.stdout.write("[")
+    lead = 2
+    for bits, lines in _row_blocks(points, ", [" + ", ".join("0" * n) + "]"):
+        lines[:, 3:3 * n + 1:3] += bits
+        sys.stdout.write(lines.tobytes()[lead:].decode("ascii"))
+        lead = 0
+    sys.stdout.write("]")
 
 
 def _pin_literals(pins: dict[int, int]) -> list[int]:
@@ -174,11 +200,11 @@ _STEP_KEYS = ("factor_size", "remaining_before", "remaining_after",
               "off_point")
 
 
-def _json_object(result: SolveResult, solutions: Optional[PointRows],
-                 opts) -> dict:
+def _json_object(result: SolveResult, opts) -> dict:
     """The SolveResult as plain data (json writes tuples as lists).
 
-    "chain" is filled in --mode trace only.
+    "chain" is filled in --mode trace only.  "all_solutions" is not
+    here: _emit writes it from the packed rows.
     """
     chain = None
     if opts.mode == "trace":
@@ -195,7 +221,6 @@ def _json_object(result: SolveResult, solutions: Optional[PointRows],
         "status": result.status.value,
         "var_count": result.final.space.var_count,
         "witness": result.witness,
-        "all_solutions": solutions.tolist() if solutions is not None else None,
         "steps": [dict(factor_index=i, **{k: getattr(s, k) for k in _STEP_KEYS})
                   for i, s in enumerate(result.steps)],
         "chain": chain,
@@ -206,10 +231,17 @@ def _emit(result: SolveResult, solutions: Optional[PointRows],
           checks: Optional[list[str]], opts) -> None:
     """Print the answer; checks are the --mode verify checks that passed."""
     if opts.json:
-        payload = _json_object(result, solutions, opts)
+        payload = _json_object(result, opts)
         if checks is not None:
             payload["verified"] = checks
-        print(json.dumps(payload, sort_keys=True))
+        # "all_solutions" sorts before every other key, so its rows are
+        # written first, a block at a time, and the rest after them
+        sys.stdout.write('{"all_solutions": ')
+        if solutions is None:
+            sys.stdout.write("null")
+        else:
+            _write_json_rows(solutions)
+        print(", " + json.dumps(payload, sort_keys=True)[1:])
         return
     for line in checks or ():
         print(f"c verified: {line}")

@@ -129,9 +129,10 @@ class BoolSpace:
     """Manages all Boolean functions over one ordered variable set.
 
     The variable order is fixed at construction, either as a count
-    (names default to x1..xn) or as an explicit name sequence.  A space
-    is for one thread: nothing in it is locked, and separate spaces
-    share no state.  The functions themselves are immutable.
+    (names default to x1..xn, made when var_names is first read) or as
+    an explicit name sequence.  A space is for one thread: nothing in
+    it is locked, and separate spaces share no state.  The functions
+    themselves are immutable.
 
     Table convention: ``_nodes[h]`` is the row ``(level, lo, hi)`` of
     handle h.  The constants 0 and 1 are rows 0 and 1, ``(n, 0, 0)``
@@ -150,14 +151,14 @@ class BoolSpace:
         if isinstance(variables, int):
             if variables < 0:
                 raise ValueError("variable count must be >= 0")
-            names = tuple(f"x{i + 1}" for i in range(variables))
+            n, names = variables, None
         else:
             names = tuple(variables)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable name")
-        self._names = names
-        self._name_index = {name: i for i, name in enumerate(names)}
-        n = len(names)
+            n = len(names)
+            if len(set(names)) != n:
+                raise ValueError("duplicate variable name")
+        self.var_count = n
+        self._names: Optional[tuple[str, ...]] = names
         self._nodes: list[Optional[tuple[int, int, int]]] = [
             (n, _FALSE, _FALSE), (n, _TRUE, _TRUE)]
         self._masks: list[Optional[int]] = [0, 0]
@@ -169,11 +170,9 @@ class BoolSpace:
         self._live_after_sweep = 0
 
     @property
-    def var_count(self) -> int:
-        return len(self._names)
-
-    @property
     def var_names(self) -> tuple[str, ...]:
+        if self._names is None:
+            self._names = tuple(f"x{i + 1}" for i in range(self.var_count))
         return self._names
 
     @property
@@ -197,21 +196,21 @@ class BoolSpace:
 
     def var(self, index: int) -> "BoolFunc":
         """The projection function of the variable at ``index``."""
-        if not 0 <= index < len(self._names):
+        if not 0 <= index < self.var_count:
             raise ValueError(f"variable index {index} out of range")
         return BoolFunc(self, self._mk(index, _FALSE, _TRUE))
 
     def named(self, name: str) -> "BoolFunc":
         """Like :meth:`var`, addressed by variable name."""
         try:
-            index = self._name_index[name]
-        except KeyError:
+            index = self.var_names.index(name)
+        except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
         return self.var(index)
 
     def identity_subst(self) -> list["BoolFunc"]:
         """The substitution mapping every variable to itself."""
-        return [self.var(i) for i in range(len(self._names))]
+        return [self.var(i) for i in range(self.var_count)]
 
     def ite(self, cond: "BoolFunc", when_true: "BoolFunc",
             when_false: "BoolFunc") -> "BoolFunc":
@@ -301,7 +300,7 @@ class BoolSpace:
         one character per level, the constants' level n included.  It
         names no node, so a sweep leaves it valid.
         """
-        width = len(self._names) + 1
+        width = self.var_count + 1
         self._kept_cube = kept = (mask, bits, f"{mask:0{width}b}"[::-1],
                                   f"{bits:0{width}b}"[::-1])
         return kept
@@ -363,7 +362,7 @@ class BoolSpace:
         return result
 
     def __repr__(self) -> str:
-        return f"BoolSpace({list(self._names)!r})"
+        return f"BoolSpace({list(self.var_names)!r})"
 
 
 class BoolFunc:
@@ -597,7 +596,7 @@ class BoolFunc:
             return "0"
         if self._handle == _TRUE:
             return "1"
-        names = self.space._names
+        names = self.space.var_names
         nodes = self.space._nodes
         terms: list[str] = []
         truncated = False

@@ -313,17 +313,29 @@ def oracle_check(formula: CnfFormula, final: BoolFunc) -> str:
     """Compare a final factor with a reference built without the solver.
 
     Up to MAX_TABLE_VARS variables the reference is the exhaustive truth
-    table; above that cap it is the direct conjunction of the clauses,
-    compared by canonical equality.  The conjunction is taken in
-    bottom_up_key() order, an empty clause first: the same function as
-    in input order, built far faster.  Returns the check made as one
-    line of text and raises RuntimeError when the two disagree.
+    table.  Above that cap it is the direct conjunction of the clauses,
+    built in a fresh space over the same variable order, so that it
+    shares no node and no unique- or computed-table entry with the
+    solver's.  The conjunction is taken in bottom_up_key() order, an
+    empty clause first: the same function as in input order, built far
+    faster.  The final factor is then rebuilt in the fresh space, node
+    by node with its children first, and the two are compared by
+    canonical equality there.  Returns the check made as one line of
+    text and raises RuntimeError when the two disagree.
     """
     if formula.var_count <= MAX_TABLE_VARS:
         if not tt_equal(tt_of_formula(formula), tt_of_func(final)):
             raise RuntimeError("final factor disagrees with the exhaustive oracle")
         return "final factor agrees with the exhaustive truth table"
     clauses = sorted(formula.clauses, key=bottom_up_key)
-    if final != formula_to_func(replace(formula, clauses=clauses), final.space):
+    reference = formula_to_func(replace(formula, clauses=clauses),
+                                BoolSpace(formula.var_count))
+    space, nodes = reference.space, final.space._nodes
+    copied = {0: 0, 1: 1}
+    # ascending handles rebuild every child before its parent
+    for handle in sorted(final._reachable()):
+        level, lo, hi = nodes[handle]
+        copied[handle] = space._mk(level, copied[lo], copied[hi])
+    if copied[final._handle] != reference._handle:
         raise RuntimeError("final factor differs from the direct conjunction")
     return "final factor equals the direct conjunction of the clauses"

@@ -290,6 +290,49 @@ class TestJsonOutput:
             "final factor agrees with the exhaustive truth table"]
 
 
+class TestJsonRows:
+    # --mode all --json writes "all_solutions" from the packed rows, a
+    # block at a time, and the rest of the object after it; the line is
+    # json.dumps of the object --mode solve --json prints, with the
+    # solutions added
+
+    @pytest.mark.parametrize("cnf, block_bytes, code", [
+        (TWO_VAR_UNSAT, None, EXIT_UNSAT),
+        ("p cnf 0 0\n", None, EXIT_SAT),
+        ("p cnf 5 5\n1 0\n-2 0\n3 0\n4 0\n-5 0\n", None, EXIT_SAT),
+        (FOUR_VAR_SAT, 1, EXIT_SAT),
+        # rows of 3 * 16 + 2 bytes: 65,536 of them fill four blocks
+        ("p cnf 16 0\n", None, EXIT_SAT),
+    ], ids=["unsat", "no-variables", "one-model", "one-row-blocks", "four-blocks"])
+    def test_the_line_is_json_dumps(self, cnf, block_bytes, code, tmp_path,
+                                    capsys, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        want = [list(p) for p in tt_of_formula(parse_dimacs(cnf)).satisfying_points()]
+        got, out, err = run_cli(["--json", "--mode", "all"], cnf=cnf,
+                                tmp_path=tmp_path, capsys=capsys)
+        assert (got, err) == (code, "")
+        _, solved, _ = run_cli(["--json"], cnf=cnf, tmp_path=tmp_path,
+                               capsys=capsys)
+        assert out == json.dumps(dict(json.loads(solved), all_solutions=want),
+                                 sort_keys=True) + "\n"
+
+    def test_peak_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
+        # 262,144 models: a Python list of bits per model took 80 MiB
+        path = tmp_path / "free18.cnf"
+        path.write_text("p cnf 18 0\n")
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = run(["--input", str(path), "--mode", "all", "--json"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == EXIT_SAT
+        assert peak < 16 << 20
+
+
 class TestTraceMode:
     def test_step_lines_and_pin_lines(self, tmp_path, capsys):
         # the chain pinned below is the paper's, in input order
@@ -551,6 +594,28 @@ class TestClosedPipe:
             err = proc.stderr.read()
         assert proc.wait(timeout=120) == EXIT_ERROR
         assert err == b""
+
+
+class TestWideFormula:
+    def test_a_million_variables_cost_no_names(self, tmp_path, monkeypatch):
+        # the space makes no name per variable, and the v line's slot
+        # template is one string
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 1000000 1\n1 0\n")
+        out = tmp_path / "wide.out"
+        with open(out, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = run(["--input", str(path)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == EXIT_SAT
+        with open(out) as lines:
+            assert lines.readline() == "s SATISFIABLE\n"
+            assert lines.read(12) == "v 1 -2 -3 -4"
+        assert peak < 120 << 20
 
 
 class TestVLineBlocks:

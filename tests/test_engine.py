@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import threading
 import tracemalloc
 import weakref
@@ -74,6 +75,61 @@ class TestConstructors:
         x = s.var(0)
         assert (x & ~x) == s.false
         assert (x | ~x) == s.true
+
+
+class TestVariableNames:
+    # a space built from a count makes its names x1..xn only when they
+    # are first read, and reads them as a space given those names does
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 12])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_names_read_alike(self, n, given):
+        names = tuple(f"{'v' if given else 'x'}{i + 1}" for i in range(n))
+        s = BoolSpace(list(names) if given else n)
+        assert s.var_names == names
+        assert repr(s) == f"BoolSpace({list(names)!r})"
+        ident = s.identity_subst()
+        assert ident == [s.var(i) for i in range(n)]
+        assert [s.named(name) for name in names] == ident
+        assert [f.format_expr() for f in ident] == list(names)
+        for unknown in ("", "x0", f"x{n + 1}", "v1" if not given else "x1"):
+            with pytest.raises(ValueError,
+                               match=f"^unknown variable {re.escape(repr(unknown))}$"):
+                s.named(unknown)
+        if n:
+            first, last = names[0], names[-1]
+            want = "0" if n == 1 else f"~{first}&{last} | {first}&~{last}"
+            f = s.var(0) ^ s.var(n - 1)
+            assert f.format_expr() == want
+            assert repr(f) == f"BoolFunc({want})"
+
+    def test_a_duplicate_given_name_is_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate variable name$"):
+            BoolSpace(["a", "b", "c", "b"])
+
+    def test_a_wide_space_costs_nothing_per_variable(self):
+        tracemalloc.start()
+        try:
+            s = BoolSpace(1_000_000)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.var_count == 1_000_000
+        assert kept < 1 << 20
+
+    def test_names_are_made_once(self):
+        # the first rendering makes all 200,000 names; the next one
+        # makes none
+        s = BoolSpace(200_000)
+        f = s.var(4) & ~s.var(199_999)
+        assert f.format_expr() == "x5&~x200000"
+        tracemalloc.start()
+        try:
+            assert f.format_expr() == "x5&~x200000"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAlgebra:

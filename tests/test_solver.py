@@ -793,6 +793,34 @@ class TestOracleCheck:
                 oracle_check(formula, final.space.false)
 
 
+    def test_a_fault_in_the_solvers_tables_is_caught(self, monkeypatch):
+        # the solver's space hands out ~x1 wherever x1 is made: a wrong
+        # unique-table entry, which a reference conjoined in that same
+        # space finds again, so only a fresh space tells them apart
+        n = MAX_TABLE_VARS + 6
+        formula = CnfFormula(n, [Clause.from_ints([1])] + [
+            Clause.from_ints([-v, v + 1]) for v in range(1, n)])
+        planted = []
+
+        class PlantedSpace(BoolSpace):
+            def __init__(self, variables):
+                super().__init__(variables)
+                if not planted:
+                    self._unique[(0, 0, 1)] = self._mk(0, 1, 0)
+                    planted.append(self)
+
+        monkeypatch.setattr(solver, "BoolSpace", PlantedSpace)
+        final = solve(formula).final
+        assert final.space is planted[0]
+        assert final.any_on_point() == (0,) * n
+        assert dpll_model_count(formula) == 1
+        same_space = formula_to_func(
+            CnfFormula(n, sorted(formula.clauses, key=bottom_up_key)), final.space)
+        assert same_space == final
+        with pytest.raises(RuntimeError, match="differs from the direct conjunction"):
+            oracle_check(formula, final)
+
+
 class TestAboveCapModelCount:
     # a pure-Python DPLL counter is the reference above the truth
     # table's cap: it shares no code with the engine
