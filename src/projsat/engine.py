@@ -600,21 +600,27 @@ class BoolFunc:
         nodes = self.space._nodes
         terms: list[str] = []
         truncated = False
-        # depth-first, low branch first, each entry with its path's literals
-        stack: list[tuple[int, tuple[str, ...]]] = [(self._handle, ())]
+        # depth-first, low branch first: path holds the literal of each
+        # edge from the root (the root's own is ""), and an entry holds
+        # its parent's length of path and the literal of its own edge
+        path: list[str] = []
+        stack: list[tuple[int, int, str]] = [(self._handle, 0, "")]
         while stack:
-            handle, cube = stack.pop()
+            handle, depth, literal = stack.pop()
+            del path[depth:]
             if handle == _FALSE:
                 continue
+            path.append(literal)
             if handle == _TRUE:
                 if max_terms is not None and len(terms) >= max_terms:
                     truncated = True
                     break
-                terms.append("&".join(cube) if cube else "1")
+                terms.append("&".join(path[1:]))
                 continue
             level, lo, hi = nodes[handle]
-            stack.append((hi, cube + (names[level],)))
-            stack.append((lo, cube + ("~" + names[level],)))
+            depth = len(path)
+            stack.append((hi, depth, names[level]))
+            stack.append((lo, depth, "~" + names[level]))
         rendered = " | ".join(terms)
         return rendered + " | ..." if truncated else rendered
 

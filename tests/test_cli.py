@@ -24,10 +24,10 @@ from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, run
 from projsat.cnf import emit_dimacs
 from projsat.engine import PointRows
 from projsat.oracle import MAX_TABLE_VARS, formula_satisfied, tt_of_formula
-from projsat.solver import FACTOR_ORDERS, bottom_up_key
+from projsat.solver import FACTOR_ORDERS, bottom_up_key, solve
 
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain,
-                     random_clause, random_cnf, reference_v_lines)
+                     random_3sat, random_clause, random_cnf, reference_v_lines)
 
 
 def parse_witness_line(line):
@@ -648,3 +648,136 @@ class TestVLineBlocks:
                   for _ in range(3 * block + 5)]
         cli._write_witnesses(PointRows.from_points(points, self.N))
         assert capsys.readouterr().out == reference_v_lines(points, self.N)
+
+
+def bit_points(values, n):
+    """The n-bit points of the integers, x1 the highest bit."""
+    return [tuple((value >> (n - 1 - i)) & 1 for i in range(n)) for value in values]
+
+
+def write_counted(points, monkeypatch):
+    """Run _write_witnesses on the points with stdout at devnull.
+
+    Returns the rows each tail rendering was given, one entry per call:
+    the tail renderer is the one whose text ends the line.
+    """
+    counts = []
+    render = cli._Literals.render
+
+    def counted(self, rows):
+        if self.template[-2:].tobytes() == b"0\n":
+            counts.append(len(rows))
+        return render(self, rows)
+
+    monkeypatch.setattr(cli._Literals, "render", counted)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli._write_witnesses(points)
+    return counts
+
+
+class TestTailBlocks:
+    # _write_witnesses renders the head of each run of equal leading
+    # bytes once and each distinct tail block once, and joins them
+
+    @staticmethod
+    def point_sets(n, rng):
+        """(name, points) pairs over n variables, the empty set included."""
+        sample = sorted(rng.sample(range(1 << n), min(1 << n, 3000)))
+        shuffled = list(sample)
+        rng.shuffle(shuffled)
+        sets = [("none", []), ("lexicographic", sample), ("shuffled", shuffled)]
+        if n > 8:
+            tail_bits = n - 8
+            heads = sorted(rng.sample(range(256), 40))
+            shared = sorted(rng.sample(range(1 << tail_bits), min(1 << tail_bits, 70)))
+            sets.append(("repeated-tails",
+                         [head << tail_bits | tail for head in heads for tail in shared]))
+            distinct = []
+            for head in heads:
+                own = rng.sample(range(1 << tail_bits), min(1 << tail_bits, 70))
+                distinct += [head << tail_bits | tail for tail in sorted(own)]
+            sets.append(("distinct-tails", distinct))
+        return [(name, bit_points(values, n)) for name, values in sets]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("head_run, block_lines", [
+        (None, None), (1, None), (1, 3), (2, 5)],
+        ids=["defaults", "every-head", "every-head-3-line-blocks",
+             "5-line-blocks"])
+    def test_lines_match_the_reference(self, n, head_run, block_lines,
+                                       capsys, monkeypatch):
+        # with 3- and 5-line blocks the runs are cut short, and the tail
+        # cache, four blocks of text, is dropped many times over
+        if head_run is not None:
+            monkeypatch.setattr(cli, "_HEAD_RUN", head_run)
+        if block_lines is not None:
+            width = len(str(n)) + 2
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_lines * (width * n + 4))
+        rng = random.Random(f"tail-blocks-{n}")
+        for name, points in self.point_sets(n, rng):
+            cli._write_witnesses(PointRows.from_points(points, n))
+            out = capsys.readouterr().out
+            # lines first, so that a failure names the first wrong line
+            want = reference_v_lines(points, n)
+            assert out.splitlines() == want.splitlines(), name
+            assert out == want, name
+
+    def test_a_lone_witness_has_no_head(self):
+        rows = np.packbits(np.ones((1, 40), dtype=np.uint8), axis=1)
+        assert cli._head_runs(rows) == (0, [0, 1])
+
+    def test_sparse_models_render_a_quarter_of_their_tails(self, tmp_path,
+                                                           monkeypatch):
+        # seven clauses over 20 variables leave about 400,000 models;
+        # the cofactors of the first 8 variables share their tails
+        formula = random_3sat(20, 7 / 20, random.Random(0x7A11))
+        solved = solve(formula)
+        points = solved.final.enumerate_on_set()
+        assert len(points) > 100_000
+        counts = write_counted(points, monkeypatch)
+        assert sum(counts) <= len(points) // 4
+
+    def test_distinct_tails_render_each_row_once(self, monkeypatch):
+        # 2^16 of the 2^24 points: no two runs share their tails
+        values = np.sort(np.random.default_rng(0x7A12).choice(
+            1 << 24, size=1 << 16, replace=False))
+        bits = (values[:, None] >> np.arange(23, -1, -1)) & 1
+        points = PointRows(np.packbits(bits.astype(np.uint8), axis=1), 24)
+        assert cli._head_runs(points.rows)[0] == 1
+        counts = write_counted(points, monkeypatch)
+        assert sum(counts) == 1 << 16
+
+
+class TestWideLine:
+    # a line wider than _BLOCK_BYTES is rendered in column blocks
+
+    def test_a_million_variable_row_in_bounded_memory(self, tmp_path,
+                                                      monkeypatch):
+        n = 1_000_000
+        point = [int(i % 3 == 0) for i in range(n)]
+        points = PointRows.from_points([point], n)
+        out = tmp_path / "wide.out"
+        with open(out, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                cli._write_witnesses(points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 << 20
+        text = out.read_text()
+        assert text.startswith("v 1 -2 -3 4 -5 -6 7 ")
+        assert text.endswith(" 999997 -999998 -999999 1000000 0\n")
+        assert len(text) == 4 + sum(len(str(i + 1)) + 2 - bit
+                                    for i, bit in enumerate(point))
+
+    @pytest.mark.parametrize("n", [9, 100, 1000])
+    def test_column_blocks_match_the_reference(self, n, capsys, monkeypatch):
+        # blocks of 64 bytes: 8 variables each at n = 9 and 100, 16 at 1000
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        rng = random.Random(f"wide-{n}")
+        points = [tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(5)]
+        cli._write_witnesses(PointRows.from_points(points, n))
+        assert capsys.readouterr().out == reference_v_lines(points, n)

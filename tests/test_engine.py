@@ -1025,6 +1025,64 @@ class TestRepr:
         assert s.true.format_expr() == "1"
         assert "x" in (x & ~y).format_expr()
 
+    @staticmethod
+    def reference_terms(f):
+        """The literal lists of f's 1-paths, low branch first.
+
+        Built through the public API alone: the root tests the lowest
+        variable of the support, and its branches are the restrictions.
+        """
+        space = f.space
+        if f == space.false:
+            return []
+        if f == space.true:
+            return [[]]
+        top = min(f.support())
+        name = space.var_names[top]
+        return ([["~" + name] + t for t in TestRepr.reference_terms(f.restrict({top: 0}))]
+                + [[name] + t for t in TestRepr.reference_terms(f.restrict({top: 1}))])
+
+    @pytest.mark.parametrize("max_terms", [None, 0, 1, 3, 16, 17])
+    def test_format_expr_matches_the_literal_reference(self, max_terms):
+        s = BoolSpace(6)
+        rng = random.Random(0xE4)
+        parity = s.false
+        for i in range(5):
+            parity = parity ^ s.var(i)
+        chain = s.var(0)
+        for i in range(5):
+            chain = chain & (~s.var(i) | s.var(i + 1))
+        funcs = [parity, chain, s.var(5), ~s.var(2)]
+        funcs += [random_func(s, rng, depth=5)[0] for _ in range(8)]
+        for f in funcs:
+            if f in (s.false, s.true):
+                continue
+            terms = ["&".join(t) for t in self.reference_terms(f)]
+            want = " | ".join(terms[:max_terms])
+            if max_terms is not None and len(terms) > max_terms:
+                want += " | ..."
+            assert f.format_expr(max_terms) == want
+
+    def test_format_expr_holds_one_path(self):
+        # x1 | x2 | ... | x2000: the low-first walk reaches its first term
+        # 2000 levels down, with a pending high branch at every level;
+        # a copy of the path per pending entry would hold 16 MB
+        n = 2000
+        s = BoolSpace(n)
+        f = s.var(n - 1)
+        for i in reversed(range(n - 1)):
+            f = s.var(i) | f
+        tracemalloc.start()
+        try:
+            text = f.format_expr(max_terms=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        term, rest = text.split(" | ")
+        assert term.split("&") == [f"~x{v}" for v in range(1, n)] + [f"x{n}"]
+        assert rest == "..."
+        assert peak < 2 << 20
+
     def test_repr_mentions_size(self):
         s = BoolSpace(2)
         text = repr(s.var(0) & s.var(1))
