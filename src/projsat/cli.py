@@ -138,6 +138,21 @@ _BLOCK_BYTES = 1 << 20
 _HEAD_RUN = 64
 
 
+def _write(data: bytes) -> None:
+    """Write ASCII bytes to stdout after the text written before them.
+
+    The text layer is flushed first, then the bytes go to its binary
+    buffer undecoded; a stream without one, such as io.StringIO, takes
+    them as text.
+    """
+    sys.stdout.flush()
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(data.decode("ascii"))
+    else:
+        buffer.write(data)
+
+
 def _tiled(rows: np.ndarray, count: int, template: np.ndarray):
     """(bits, lines) for a block of packed rows.
 
@@ -241,7 +256,7 @@ def _write_witnesses(points: PointRows) -> None:
     if not head:
         whole = _Literals(0, n, width, "v ", "0\n")
         for first in range(0, len(rows), block):
-            sys.stdout.write(whole.render(rows[first:first + block]).decode("ascii"))
+            _write(whole.render(rows[first:first + block]))
         return
     heads = _Literals(0, 8 * head, width, "v ", "\n")
     tails = _Literals(8 * head, n, width, suffix="0\n")
@@ -262,8 +277,7 @@ def _write_witnesses(points: PointRows) -> None:
                     known.clear()
                     kept = len(key) + len(text)
                 known[key] = text
-            lines = b"".join((lead, text.replace(b"\n", joint), b"\n"))
-            sys.stdout.write(lines.decode("ascii"))
+            _write(b"".join((lead, text.replace(b"\n", joint), b"\n")))
 
 
 def _write_wide_witnesses(points: PointRows, width: int) -> None:
@@ -276,8 +290,7 @@ def _write_wide_witnesses(points: PointRows, width: int) -> None:
             stop = min(start + step, n)
             literals = _Literals(start, stop, width, "" if start else "v ",
                                  "0\n" if stop == n else "")
-            text = literals.render(row[None, start // 8:(stop + 7) // 8])
-            sys.stdout.write(text.decode("ascii"))
+            _write(literals.render(row[None, start // 8:(stop + 7) // 8]))
 
 
 def _write_json_rows(points: PointRows) -> None:
@@ -295,7 +308,7 @@ def _write_json_rows(points: PointRows) -> None:
     for start in range(0, len(points), block):
         bits, lines = _tiled(points.rows[start:start + block], n, template)
         lines[:, 3:3 * n + 1:3] += bits
-        sys.stdout.write(lines.tobytes()[lead:].decode("ascii"))
+        _write(lines.tobytes()[lead:])
         lead = 0
     sys.stdout.write("]")
 

@@ -7,7 +7,8 @@ same node handle, so every algebraic identity in this package reduces
 to an ``==`` check.
 
 Solution sets come back as :class:`PointRows`, packed bit rows filled
-by one numpy descent over the function's nodes, level by level.
+by a numpy descent over the function's nodes, level by level, that
+expands each distinct cofactor of the last byte's levels once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class EnumerationCapError(ValueError):
 
 #: Rows unpacked at a time when a PointRows view is iterated.
 _UNPACK_ROWS = 1 << 14
+
+#: Rows whose last byte is gathered at a time by enumerate_on_set.
+_GATHER_ROWS = 1 << 16
 
 
 class PointRows(Sequence):
@@ -104,6 +108,35 @@ def mask_point(bits: int, var_count: int) -> tuple[int, ...]:
     for i in mask_levels(bits):
         point[i] = 1
     return tuple(point)
+
+
+def _descend(level: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             reached: np.ndarray, start: int, stop: int,
+             width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The on-set points of levels start to stop - 1 below each node.
+
+    Returns the points as packed rows of ``width`` bytes, level
+    ``start`` at the high bit of byte 0 (``start`` is a multiple of 8),
+    and the node each row reaches at level ``stop``, in lexicographic
+    order within each node of ``reached``, the nodes in the order
+    given.  Each row doubles into its low and high child, or into its
+    node twice when the node does not test the level, and children at
+    constant 0 are dropped.
+    """
+    rows = np.zeros((reached.size, width), dtype=np.uint8)
+    for var in range(start, stop):
+        tests = level[reached] == var
+        children = np.empty(2 * reached.size, dtype=np.int32)
+        children[0::2] = np.where(tests, lo[reached], reached)
+        children[1::2] = np.where(tests, hi[reached], reached)
+        live = np.flatnonzero(children)
+        # take gathers whole rows several times faster than rows[live >> 1]
+        rows = rows.take(live >> 1, axis=0)
+        bits = (live & 1).astype(np.uint8)
+        bits <<= 7 - (var & 7)
+        rows[:, (var - start) >> 3] |= bits
+        reached = children[live]
+    return rows, reached
 
 
 def _decision_nodes(nodes: list, roots: Iterable[int]) -> set[int]:
@@ -512,12 +545,16 @@ class BoolFunc:
     def enumerate_on_set(self, cap: int = DEFAULT_ENUM_CAP) -> PointRows:
         """All points mapped to 1, in lexicographic order, as packed rows.
 
-        Before level L the rows hold, in lexicographic order, the L-bit
-        prefixes that still reach a node other than constant 0, and
-        ``reached`` that node; each row then doubles into its low and
-        high child, and children at constant 0 are dropped.  Every
-        surviving prefix extends to a model, so no level holds more rows
-        than the result.
+        The rows are descended level by level down to the first level
+        of their last byte, the cut: before level L they hold, in
+        lexicographic order, the L-bit prefixes that still reach a node
+        other than constant 0, and ``reached`` that node; each row then
+        doubles into its low and high child, and children at constant 0
+        are dropped.  Every surviving prefix extends to a model, so no
+        level holds more rows than the result.  Each distinct node
+        reached at the cut is one cofactor, and its models below the
+        cut, a block of at most 256 last bytes, are descended once; the
+        block is then copied under every prefix that reaches the node.
 
         Raises EnumerationCapError, before any row is made, when the
         function has more than ``cap`` models.  They are counted first,
@@ -532,21 +569,43 @@ class BoolFunc:
         for at, low, high in zip(depth[2:], map(int, lo[2:]), map(int, hi[2:])):
             counts.append(min(cap + 1, (counts[low] << depth[low] - at - 1)
                               + (counts[high] << depth[high] - at - 1)))
-        if counts[root] << depth[root] > cap:
+        total = counts[root] << depth[root]
+        if total > cap:
             raise EnumerationCapError(
                 f"enumerating more than {cap} models exceeds the cap of {cap}")
+        # cut is the first level of the last packed byte: each node that
+        # the prefix rows reach there is descended once, and its block of
+        # tail rows copied under every prefix that reaches it
+        cut = max(n - 1, 0) & ~7
         reached = np.array([root] if root != _FALSE else [], dtype=np.int32)
-        rows = np.zeros((reached.size, (n + 7) // 8), dtype=np.uint8)
-        for var in range(n):
-            tests = level[reached] == var
-            children = np.empty(2 * reached.size, dtype=np.int32)
-            children[0::2] = np.where(tests, lo[reached], reached)
-            children[1::2] = np.where(tests, hi[reached], reached)
-            live = np.flatnonzero(children)
-            # take gathers whole rows several times faster than rows[live >> 1]
-            rows = rows.take(live >> 1, axis=0)
-            rows[:, var >> 3] |= ((live & 1) << (7 - (var & 7))).astype(np.uint8)
-            reached = children[live]
+        rows, reached = _descend(level, lo, hi, reached, 0, cut, (n + 7) // 8)
+        # rank numbers the distinct reached nodes, without np.unique's sort
+        rank = np.zeros(level.size, dtype=np.int32)
+        rank[reached] = 1
+        nodes = np.flatnonzero(rank)
+        rank[nodes] = np.arange(nodes.size)
+        tails, _ = _descend(level, lo, hi, nodes, cut, n, (n + 7) // 8 - cut // 8)
+        # a block holds its node's models below the cut, at most 256 and
+        # counted exactly: none exceeds the total, which is within the cap,
+        # and no sum below does either, so int32 holds them unless the
+        # total outgrows it
+        kind = np.int32 if total < 1 << 31 else np.intp
+        sizes = np.array([counts[k] << depth[k] - cut for k in nodes.tolist()],
+                         dtype=kind)
+        reached = rank[reached]
+        repeats = sizes[reached]
+        # each prefix's run of rows reads its block from the block's
+        # start, so row i reads tail i + (block end - run end)
+        index = np.cumsum(sizes, dtype=kind)[reached]
+        index -= np.cumsum(repeats, dtype=kind)
+        index = np.repeat(index, repeats)
+        index += np.arange(total, dtype=kind)
+        rows = rows.repeat(repeats, axis=0)
+        # take copies its indices as intp: a slice at a time, that copy
+        # stays small beside the int32 index
+        for first in range(0, total, _GATHER_ROWS):
+            part = slice(first, first + _GATHER_ROWS)
+            rows[part, cut // 8:] = tails.take(index[part], axis=0)
         return PointRows(rows, n)
 
     def compose(self, subst: Sequence["BoolFunc"]) -> "BoolFunc":

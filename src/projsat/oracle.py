@@ -4,9 +4,10 @@ Tables are filled straight from clause data, each clause clearing
 the subcube of points it rules out, touching none of the engine's
 code, so agreement between the two paths is evidence rather than
 tautology.  The only bridge back is tt_of_func, which reads an engine
-function's graph level by level into a table.  It takes the graph as
-the compact node arrays the engine's on-set enumeration also descends;
-tt_of_formula reads none of them.
+function's graph level by level into a table, each distinct cofactor
+of the last eight levels once.  It takes the graph as the compact node
+arrays the engine's on-set enumeration also descends, but shares no
+descent code with it; tt_of_formula reads none of them.
 """
 
 from __future__ import annotations
@@ -99,12 +100,18 @@ def tt_of_func(func) -> TruthTable:
     which its on-set enumeration descends too, in the table convention
     of BoolSpace.
 
+    Prefixes are descended this way only down to the cut, the first
+    of the last eight levels (level 0 when n <= 8).  Each distinct node
+    reached there is one cofactor: it is descended alone into its block
+    of the last 2^(n - cut) entries, and one gather lays out every
+    prefix's block in turn.
+
     Each level gathers through two child maps made over the node
     arrays, which are small, so no full-size temporary is made besides
     the gathered halves.  The entries are uint16 node ids when the graph
     has fewer than 2^16 rows.  The last level reaches constants only,
     row 0 the constant 0 and row 1 the constant 1, so its maps and the
-    table it fills are bools.
+    blocks it fills are bools.
     """
     n = func.space.var_count
     if n > MAX_TABLE_VARS:
@@ -112,8 +119,8 @@ def tt_of_func(func) -> TruthTable:
     level, lo, hi, root = func._node_arrays()
     index = np.uint16 if level.size < 1 << 16 else np.int32
     stay = np.arange(level.size, dtype=index)
-    reached = np.array([root], dtype=index)
-    for var in range(n):
+
+    def descend(reached, var):
         tests = level == var
         low = np.where(tests, lo, stay).astype(index)
         high = np.where(tests, hi, stay).astype(index)
@@ -122,9 +129,18 @@ def tt_of_func(func) -> TruthTable:
         doubled = np.empty(2 * reached.size, dtype=low.dtype)
         doubled[0::2] = low[reached]
         doubled[1::2] = high[reached]
-        reached = doubled
+        return doubled
+
+    cut = max(n - 8, 0)
+    reached = np.array([root], dtype=index)
+    for var in range(cut):
+        reached = descend(reached, var)
+    nodes, inverse = np.unique(reached, return_inverse=True)
+    blocks = nodes
+    for var in range(cut, n):
+        blocks = descend(blocks, var)
     # with n == 0 the one entry is the root, the constant 0 or 1 itself
-    return TruthTable(n, reached)
+    return TruthTable(n, blocks.reshape(nodes.size, -1)[inverse].reshape(-1))
 
 
 def tt_equal(first: TruthTable, second: TruthTable) -> bool:

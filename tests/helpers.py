@@ -6,8 +6,10 @@ Tests that compare the two sides therefore exercise two independent
 code paths end to end.
 """
 
+import os
 import random
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,15 @@ from projsat.solver import StepRecord, bottom_up_key
 
 TWO_VAR_UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 FOUR_VAR_SAT = "p cnf 4 3\n-1 2 4 0\n-2 3 -4 0\n1 3 -4 0\n"
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+    return env
 
 
 def bit_columns(n):
@@ -90,6 +101,59 @@ def reference_v_lines(points, var_count: int) -> str:
     literals = [(f"-{i} ", f"{i} ") for i in range(1, var_count + 1)]
     return "".join("v " + "".join(map(getitem, literals, point)) + "0\n"
                    for point in points)
+
+
+def reference_on_set(func) -> np.ndarray:
+    """The on-set of a BoolFunc as packed rows, one descent per prefix.
+
+    Before level L the rows hold, in lexicographic order, the L-bit
+    prefixes that still reach a node other than constant 0; each row
+    doubles into its low and high child, and children at constant 0 are
+    dropped.  No prefix shares the rows of another, however many reach
+    the same node: the reference that BoolFunc.enumerate_on_set, which
+    descends each cofactor of the last byte once, must match.
+    """
+    n = func.space.var_count
+    level, lo, hi, root = func._node_arrays()
+    reached = np.array([root] if root != 0 else [], dtype=np.int32)
+    rows = np.zeros((reached.size, (n + 7) // 8), dtype=np.uint8)
+    for var in range(n):
+        tests = level[reached] == var
+        children = np.empty(2 * reached.size, dtype=np.int32)
+        children[0::2] = np.where(tests, lo[reached], reached)
+        children[1::2] = np.where(tests, hi[reached], reached)
+        live = np.flatnonzero(children)
+        rows = rows[live >> 1]
+        rows[:, var >> 3] |= ((live & 1) << (7 - (var & 7))).astype(np.uint8)
+        reached = children[live]
+    return rows
+
+
+def reference_table(func) -> np.ndarray:
+    """A BoolFunc's value at each of the 2^n points, one descent per prefix.
+
+    Before level L an array holds the node that each of the 2^L
+    prefixes reaches; each entry doubles into its low and high child,
+    or into itself twice when its node does not test variable L, so
+    the last level reaches constants only.  The reference that
+    oracle.tt_of_func, which descends each cofactor of the last eight
+    levels once, must match.
+    """
+    n = func.space.var_count
+    level, lo, hi, root = func._node_arrays()
+    # uint16 node ids and two child maps per level keep n = 24 small
+    index = np.uint16 if level.size < 1 << 16 else np.int32
+    stay = np.arange(level.size, dtype=index)
+    reached = np.array([root], dtype=index)
+    for var in range(n):
+        tests = level == var
+        low = np.where(tests, lo, stay).astype(index)
+        high = np.where(tests, hi, stay).astype(index)
+        doubled = np.empty(2 * reached.size, dtype=index)
+        doubled[0::2] = low[reached]
+        doubled[1::2] = high[reached]
+        reached = doubled
+    return reached == 1
 
 
 def clause_func(space: BoolSpace, clause: Clause):

@@ -5,6 +5,7 @@ the exact s/v line protocol are pinned down without spawning
 subprocesses; a few tests compare with, or need, a real process.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -27,7 +28,8 @@ from projsat.oracle import MAX_TABLE_VARS, formula_satisfied, tt_of_formula
 from projsat.solver import FACTOR_ORDERS, bottom_up_key, solve
 
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, implication_chain,
-                     random_3sat, random_clause, random_cnf, reference_v_lines)
+                     random_3sat, random_clause, random_cnf, reference_v_lines,
+                     src_env)
 
 
 def parse_witness_line(line):
@@ -38,15 +40,6 @@ def parse_witness_line(line):
     lits = [int(t) for t in tokens[1:-1]]
     assert [abs(v) for v in lits] == list(range(1, len(lits) + 1))
     return tuple(1 if v > 0 else 0 for v in lits)
-
-
-def src_env():
-    """The environment with this checkout's src/ first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parent.parent / "src"),
-        env.get("PYTHONPATH")]))
-    return env
 
 
 def run_cli(args, stdin_text=None, tmp_path=None, cnf=None, capsys=None,
@@ -550,8 +543,12 @@ class TestVLines:
                                        tmp_path=tmp_path, capsys=capsys)
                 if points:
                     assert code == EXIT_SAT
-                    assert out == ("s SATISFIABLE\n"
-                                   + reference_v_lines(points, n))
+                    want = "s SATISFIABLE\n" + reference_v_lines(points, n)
+                    # as lines with their ends, equal exactly when the
+                    # strings are, so that a failure names the first wrong
+                    # line instead of diffing two long strings
+                    assert (out.splitlines(keepends=True)
+                            == want.splitlines(keepends=True))
                 else:
                     assert code == EXIT_UNSAT
                     assert out == "s UNSATISFIABLE\n"
@@ -571,7 +568,8 @@ class TestVLines:
                                        cnf=emit_dimacs(formula),
                                        tmp_path=tmp_path, capsys=capsys)
                 assert code == (EXIT_SAT if mode == "solve" else EXIT_OK)
-                assert out.endswith("s SATISFIABLE\n" + line)
+                assert (out.splitlines(keepends=True)[-2:]
+                        == ["s SATISFIABLE\n", line])
 
 
 class TestClosedPipe:
@@ -747,6 +745,24 @@ class TestTailBlocks:
         assert cli._head_runs(points.rows)[0] == 1
         counts = write_counted(points, monkeypatch)
         assert sum(counts) == 1 << 16
+
+
+class TestTextOnlyStdout:
+    def test_a_stream_without_a_buffer_gets_the_same_text(self, tmp_path,
+                                                          capsys):
+        # io.StringIO has no binary buffer, so the blocks that go to
+        # the buffer of a real stdout are written to it as text
+        path = tmp_path / "sparse.cnf"
+        path.write_text("p cnf 12 2\n1 -5 9 0\n-2 7 0\n")
+        for flags in ([], ["--json"]):
+            argv = ["--input", str(path), "--mode", "all"] + flags
+            code = run(argv)
+            want = capsys.readouterr().out
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                assert run(argv) == code == EXIT_SAT
+            assert (sink.getvalue().splitlines(keepends=True)
+                    == want.splitlines(keepends=True))
 
 
 class TestWideLine:

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projsat import BoolFunc, BoolSpace, EnumerationCapError, PointRows, solve
+from projsat import (BoolFunc, BoolSpace, CnfFormula, EnumerationCapError,
+                     PointRows, formula_to_func, solve)
 from projsat import engine
-from projsat.oracle import tt_of_func
+from projsat.oracle import tt_of_formula, tt_of_func
 from projsat.solver import FACTOR_ORDERS
 
-from helpers import bit_columns, implication_chain, random_3sat, random_func
+from helpers import (bit_columns, implication_chain, random_3sat,
+                     random_clause, random_func, reference_on_set)
 
 
 def all_points(n):
@@ -504,6 +506,72 @@ class TestEnumeration:
         assert repr(s.true.enumerate_on_set(cap=1 << 10)[:2]) == (
             "PointRows([(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), "
             "(0, 0, 0, 0, 0, 0, 0, 0, 0, 1)])")
+
+
+def equal_halves(space, k):
+    """x1..xk equal the last k variables, bit for bit."""
+    n = space.var_count
+    f = space.true
+    for j in range(k):
+        f = f & ~(space.var(j) ^ space.var(n - k + j))
+    return f
+
+
+def traced_peak(call):
+    """(result, tracemalloc peak in bytes) of call()."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestCofactorBlocks:
+    # enumerate_on_set descends each node reached at the first level of
+    # the last byte once, and copies its block of tails under every
+    # prefix that reaches it
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17])
+    def test_rows_match_the_references(self, n):
+        # seeded random functions against the per-prefix descent, and
+        # random CNFs against their clause-by-clause truth tables too
+        rng = random.Random(f"cofactor-blocks-{n}")
+        s = BoolSpace(n)
+        cases = [(s.false, np.zeros(1 << n, dtype=bool)),
+                 (s.true, np.ones(1 << n, dtype=bool))]
+        if n:
+            cases += [random_func(s, rng, depth=rng.randint(2, 7))
+                      for _ in range(10)]
+            for _ in range(6):
+                formula = CnfFormula(n, [random_clause(n, rng)
+                                         for _ in range(rng.randint(1, n))])
+                cases.append((formula_to_func(formula, s),
+                              tt_of_formula(formula).bits))
+        for f, table in cases:
+            rows = f.enumerate_on_set().rows
+            assert np.array_equal(rows, reference_on_set(f))
+            models = np.flatnonzero(table)
+            bits = (models[:, None] >> np.arange(n - 1, -1, -1)) & 1
+            assert np.array_equal(rows, np.packbits(bits.astype(np.uint8), axis=1))
+
+    def test_one_cofactor_is_expanded_once(self):
+        # every point of 22 variables: one node at the cut, whose block
+        # of 64 tails is copied under each of the 2^16 prefixes; 33 MiB
+        # measured, where the per-prefix descent peaked at 108 MiB
+        points, peak = traced_peak(BoolSpace(22).true.enumerate_on_set)
+        assert len(points) == 1 << 22
+        assert peak < 48 << 20
+
+    def test_one_row_blocks_cost_no_more(self):
+        # x1..x8 equal x17..x24: each of the 2^16 prefixes reaches one
+        # of 256 nodes at the cut, and each block is one row, so the
+        # blocks share no work; the per-prefix descent peaked at 2.22 MiB
+        f = equal_halves(BoolSpace(24), 8)
+        points, peak = traced_peak(f.enumerate_on_set)
+        assert np.array_equal(points.rows, reference_on_set(f))
+        assert peak < 2.2 * (1 << 20)
 
 
 class TestCompose:

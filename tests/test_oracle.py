@@ -19,7 +19,7 @@ from projsat.oracle import (
 )
 
 from helpers import (FOUR_VAR_SAT, TWO_VAR_UNSAT, random_clause, random_cnf,
-                     random_func)
+                     random_func, reference_table)
 from projsat import parse_dimacs
 
 
@@ -181,6 +181,63 @@ class TestBridge:
             for f in funcs:
                 want = [f(index_to_point(i, n)) for i in range(1 << n)]
                 assert tt_of_func(f).bits.tolist() == [bool(b) for b in want]
+
+
+def table_peak(f):
+    """(tt_of_func(f), its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        table = tt_of_func(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return table, peak
+
+
+class TestCofactorTables:
+    # tt_of_func descends each node reached at the first of the last
+    # eight levels once, and lays out its block under every prefix
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17])
+    def test_table_matches_the_references(self, n):
+        rng = random.Random(f"cofactor-tables-{n}")
+        s = BoolSpace(n)
+        cases = [(s.false, np.zeros(1 << n, dtype=bool)),
+                 (s.true, np.ones(1 << n, dtype=bool))]
+        if n:
+            cases += [random_func(s, rng, depth=rng.randint(2, 7))
+                      for _ in range(10)]
+        for f, want in cases:
+            table = tt_of_func(f)
+            assert table.bits.dtype == bool
+            assert np.array_equal(table.bits, reference_table(f))
+            assert np.array_equal(table.bits, want)
+
+    def test_a_small_function_at_the_cap(self):
+        s = BoolSpace(MAX_TABLE_VARS)
+        f = (s.var(0) & ~s.var(23)) | (s.var(11) ^ s.var(12))
+        assert np.array_equal(tt_of_func(f).bits, reference_table(f))
+
+    def test_few_cofactors_cost_about_the_table(self):
+        # x1 ^ x22: two nodes at the cut, each descended once into 256
+        # entries; the per-prefix descent peaked at 10.1 MiB beside the
+        # 4 MiB table
+        s = BoolSpace(22)
+        table, peak = table_peak(s.var(0) ^ s.var(21))
+        assert table.count() == 1 << 21
+        assert peak < 6 << 20
+
+    def test_many_cofactors_cost_no_more(self):
+        # x1..x8 equal x17..x24: 256 nodes at the cut, one per value of
+        # x1..x8; the per-prefix descent peaked at 40.1 MiB beside the
+        # 16 MiB table
+        s = BoolSpace(MAX_TABLE_VARS)
+        f = s.true
+        for j in range(8):
+            f = f & ~(s.var(j) ^ s.var(16 + j))
+        table, peak = table_peak(f)
+        assert table.count() == 1 << 16
+        assert peak < 24 << 20
 
 
 class TestPointCheck:
