@@ -7,9 +7,10 @@ object mirroring the SolveResult on a single line instead.  The solver
 only decides; the solution set of --mode all and the oracle check are
 both read from its final factor here.  The 'v' lines, the single
 witness included, are rendered from the packed rows in fixed-width
-slots padded with NUL, which are then deleted.  Points that share a
-head of leading variables are rendered as runs: the head once, and each
-distinct block of tails once, joined under every head that reaches it.
+slots padded with NUL, which are then deleted.  Points that share their
+first packed byte, the head of 8 variables, are rendered as runs: the
+head once, and each distinct block of tails once, joined under every
+head that reaches it.
 """
 
 from __future__ import annotations
@@ -112,30 +113,36 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
               "formula nest deeper than the Python recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     except (EnumerationCapError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if opts.mode != "verify":
-        _emit(result, solutions, None, opts)
-        return EXIT_SAT if sat else EXIT_UNSAT
-    if sat:
+    if opts.mode == "verify" and sat:
         if not formula_satisfied(formula, result.witness):
             print("error: witness fails clause-by-clause evaluation",
                   file=sys.stderr)
             return EXIT_ERROR
         checks.append("witness satisfies every clause")
-    _emit(result, solutions, checks, opts)
-    return EXIT_OK
+    try:
+        _emit(result, solutions, checks, opts)
+    except MemoryError as exc:
+        return _out_of_memory(exc)
+    if opts.mode == "verify":
+        return EXIT_OK
+    return EXIT_SAT if sat else EXIT_UNSAT
+
+
+def _out_of_memory(exc: MemoryError) -> int:
+    """One 'error:' line for a MemoryError, naming the array if numpy did."""
+    detail = f": {exc}" if str(exc) else ""
+    print(f"error: out of memory{detail}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 #: Bytes of 'v' lines rendered per block, whatever the line width.
 _BLOCK_BYTES = 1 << 20
-
-#: Fewest rows that runs of equal heads must average for the head to be
-#: split off: each run costs a head rendering and a tail lookup, a few
-#: numpy calls, whatever its length.
-_HEAD_RUN = 64
 
 
 def _write(data: bytes) -> None:
@@ -186,21 +193,21 @@ def _slots(start: int, stop: int, width: int) -> np.ndarray:
 
 
 class _Literals:
-    """The 'v'-line literals of variables start + 1 to stop, one row each.
+    """The 'v'-line literals of a range of variables, one row each.
 
-    The all-negative text of the range, in _slots between ``prefix``
-    and ``suffix``, is one fixed-width template.  Each row starts as
-    that template; the '-' of every variable its point sets to 1
-    becomes NUL too, and deleting every NUL leaves the text.
+    The all-negative text of the range, its _slots of ``width`` bytes
+    between ``prefix`` and ``suffix``, is one fixed-width template.
+    Each row starts as that template; the '-' of every variable its
+    point sets to 1 becomes NUL too, and deleting every NUL leaves the
+    text.
     """
 
-    def __init__(self, start: int, stop: int, width: int,
+    def __init__(self, slots: np.ndarray, width: int,
                  prefix: str = "", suffix: str = ""):
-        self.template = np.concatenate(
-            [_ascii(prefix), _slots(start, stop, width), _ascii(suffix)])
-        self.count = stop - start
+        self.template = np.concatenate([_ascii(prefix), slots, _ascii(suffix)])
+        self.count = slots.size // width
         # the '-' of each slot, one column per variable
-        self.signs = slice(len(prefix), len(prefix) + width * self.count, width)
+        self.signs = slice(len(prefix), len(prefix) + slots.size, width)
 
     def render(self, rows: np.ndarray) -> bytes:
         """The text of each row; ``rows`` holds the range's packed bytes."""
@@ -209,40 +216,25 @@ class _Literals:
         return lines.tobytes().translate(None, b"\0")
 
 
-def _head_runs(rows: np.ndarray) -> tuple[int, list[int]]:
-    """The head's width in bytes, and the bounds of its runs of equal heads.
-
-    The head is the most leading bytes whose runs still average
-    _HEAD_RUN rows, leaving at least one byte of tail: none when there
-    are fewer rows than that.  The bounds start with 0 and end with the
-    row count.
-    """
-    count, width = rows.shape
-    changed = np.zeros(max(count - 1, 0), dtype=bool)
-    head = 0
-    for column in range(width - 1):
-        wider = changed | (rows[1:, column] != rows[:-1, column])
-        if (1 + np.count_nonzero(wider)) * _HEAD_RUN > count:
-            break
-        head, changed = column + 1, wider
-    return head, [0, *(np.flatnonzero(changed) + 1).tolist(), count]
-
-
 def _write_witnesses(points: PointRows) -> None:
     """One 'v' line per point, each distinct tail block rendered once.
 
-    Consecutive points that share their leading bytes, the head, form a
-    run, and each run is cut into blocks of at most _BLOCK_BYTES of
-    lines.  The head's literals are rendered once per run; the rest of
-    a block's lines, its tail block, once per distinct tail bytes.
-    Models come in lexicographic order, and each head's tails are the
-    models of one cofactor, shared by every head that reaches it: the
-    block's text is its tail lines joined under the head.  Rendered
+    The head is a line's first packed byte, its first 8 variables; a
+    line of at most 8 variables has none, and all its points are one
+    run under the lead 'v '.  Consecutive points with the same head
+    form a run, and each run is cut into blocks of at most _BLOCK_BYTES
+    of lines.  The head's literals are rendered once per run; the rest
+    of a block's lines, its tail block, once per distinct tail bytes.
+    Models come in lexicographic order, so there are at most 256 runs,
+    and each head's tails are the models of one cofactor, shared by
+    every head that reaches it: the block's text is its tail lines
+    joined under the head.  Rows in any other order are rendered
+    correctly too, with one run per change of the first byte.  Rendered
     tail blocks are kept until they hold more than 4 * _BLOCK_BYTES,
     then all dropped: on the 20-variable sets of the models benchmark
-    (seeds 1, 5, 9, 13) they hold 0.3 to 3.2 MiB.  Without a head,
-    blocks are rendered whole.  Each block is written as it is made; a
-    line wider than _BLOCK_BYTES is written in column blocks.
+    (seeds 1, 5, 9, 13) they hold 0.3 to 3.2 MiB.  Each block is written
+    as it is made; a line wider than _BLOCK_BYTES is written in column
+    blocks.
     """
     n = points.var_count
     width = len(str(n)) + 2
@@ -252,14 +244,14 @@ def _write_witnesses(points: PointRows) -> None:
         return
     rows = points.rows
     block = _BLOCK_BYTES // line
-    head, bounds = _head_runs(rows)
-    if not head:
-        whole = _Literals(0, n, width, "v ", "0\n")
-        for first in range(0, len(rows), block):
-            _write(whole.render(rows[first:first + block]))
-        return
-    heads = _Literals(0, 8 * head, width, "v ", "\n")
-    tails = _Literals(8 * head, n, width, suffix="0\n")
+    head = int(rows.shape[1] > 1)
+    changed = (rows[1:, :head] != rows[:-1, :head]).any(axis=1)
+    starts = (np.flatnonzero(changed) + 1).tolist()
+    bounds = [0, *starts, len(rows)] if len(rows) else [0]
+    # the head's slots are split off the line's, made once
+    slots = _slots(0, n, width)
+    heads = _Literals(slots[:8 * head * width], width, "v ", "\n")
+    tails = _Literals(slots[8 * head * width:], width, suffix="0\n")
     leads = heads.render(rows[bounds[:-1], :head]).splitlines()
     known: dict[bytes, bytes] = {}
     kept = 0
@@ -288,7 +280,8 @@ def _write_wide_witnesses(points: PointRows, width: int) -> None:
     for row in points.rows:
         for start in range(0, n, step):
             stop = min(start + step, n)
-            literals = _Literals(start, stop, width, "" if start else "v ",
+            literals = _Literals(_slots(start, stop, width), width,
+                                 "" if start else "v ",
                                  "0\n" if stop == n else "")
             _write(literals.render(row[None, start // 8:(stop + 7) // 8]))
 

@@ -121,6 +121,25 @@ class TestExitCodes:
                               "formula nest deeper than the Python recursion limit")
         assert "maximum recursion depth" not in err
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        # raised while solving, then while writing the answer; numpy's
+        # names the array, a bare one nothing
+        numpy_style = "Unable to allocate 160. MiB for an array"
+        for name, message, want in [
+                ("solve", numpy_style, f"error: out of memory: {numpy_style}\n"),
+                ("_write_witnesses", numpy_style,
+                 f"error: out of memory: {numpy_style}\n"),
+                ("solve", "", "error: out of memory\n")]:
+            def exhausted(*args):
+                raise MemoryError(message)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, exhausted)
+                code, _, err = run_cli([], cnf=FOUR_VAR_SAT, tmp_path=tmp_path,
+                                       capsys=capsys)
+            assert (code, err) == (EXIT_ERROR, want), name
+
     def test_parse_error(self, tmp_path, capsys):
         code, _, err = run_cli([], cnf="p cnf 2 1\n1 worm 0\n",
                                tmp_path=tmp_path, capsys=capsys)
@@ -699,16 +718,12 @@ class TestTailBlocks:
         return [(name, bit_points(values, n)) for name, values in sets]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
-    @pytest.mark.parametrize("head_run, block_lines", [
-        (None, None), (1, None), (1, 3), (2, 5)],
-        ids=["defaults", "every-head", "every-head-3-line-blocks",
-             "5-line-blocks"])
-    def test_lines_match_the_reference(self, n, head_run, block_lines,
-                                       capsys, monkeypatch):
+    @pytest.mark.parametrize("block_lines", [None, 3, 5],
+                             ids=["defaults", "3-line-blocks", "5-line-blocks"])
+    def test_lines_match_the_reference(self, n, block_lines, capsys,
+                                       monkeypatch):
         # with 3- and 5-line blocks the runs are cut short, and the tail
         # cache, four blocks of text, is dropped many times over
-        if head_run is not None:
-            monkeypatch.setattr(cli, "_HEAD_RUN", head_run)
         if block_lines is not None:
             width = len(str(n)) + 2
             monkeypatch.setattr(cli, "_BLOCK_BYTES", block_lines * (width * n + 4))
@@ -720,10 +735,6 @@ class TestTailBlocks:
             want = reference_v_lines(points, n)
             assert out.splitlines() == want.splitlines(), name
             assert out == want, name
-
-    def test_a_lone_witness_has_no_head(self):
-        rows = np.packbits(np.ones((1, 40), dtype=np.uint8), axis=1)
-        assert cli._head_runs(rows) == (0, [0, 1])
 
     def test_sparse_models_render_a_quarter_of_their_tails(self, tmp_path,
                                                            monkeypatch):
@@ -742,9 +753,21 @@ class TestTailBlocks:
             1 << 24, size=1 << 16, replace=False))
         bits = (values[:, None] >> np.arange(23, -1, -1)) & 1
         points = PointRows(np.packbits(bits.astype(np.uint8), axis=1), 24)
-        assert cli._head_runs(points.rows)[0] == 1
         counts = write_counted(points, monkeypatch)
         assert sum(counts) == 1 << 16
+
+    def test_one_write_per_block_of_each_head(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the 2^22 models of 22 free variables: 256 heads, each with
+        # 2^14 tail lines of 92 bytes, cut into two blocks of at most
+        # _BLOCK_BYTES
+        writes = []
+        monkeypatch.setattr(cli, "_write", writes.append)
+        code, out, _ = run_cli(["--mode", "all"], cnf="p cnf 22 0\n",
+                               tmp_path=tmp_path, capsys=capsys)
+        assert (code, out) == (EXIT_SAT, "s SATISFIABLE\n")
+        assert len(writes) <= 512
+        assert sum(block.count(b"\n") for block in writes) == 1 << 22
 
 
 class TestTextOnlyStdout:

@@ -6,13 +6,16 @@ buffer, as it does for the installed console script.
 """
 
 import json
+import random
+import resource
 import subprocess
 import sys
 from itertools import product
 
-from projsat.cli import EXIT_SAT
+from projsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT
+from projsat.cnf import emit_dimacs
 
-from helpers import reference_v_lines, src_env
+from helpers import pigeonhole, reference_v_lines, src_env
 
 
 def run_module(args, tmp_path, cnf):
@@ -23,6 +26,19 @@ def run_module(args, tmp_path, cnf):
         [sys.executable, "-m", "projsat", "--input", str(path), *args],
         env=src_env(), capture_output=True, timeout=120, check=False)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def seeded_3sat(n, m):
+    """DIMACS text of m random 3-clauses over n variables, seeded with n."""
+    rng = random.Random(n)
+    lines = [f"p cnf {n} {m}"]
+    for _ in range(m):
+        lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3)]
+        lines.append(" ".join(map(str, lits + [0])))
+    return "\n".join(lines) + "\n"
+
+
+CONJUNCTION = b"c verified: final factor equals the direct conjunction of the clauses\n"
 
 
 class TestAllModeBytes:
@@ -47,3 +63,46 @@ class TestAllModeBytes:
         payload = json.loads(out)
         assert payload["all_solutions"] == [list(p) for p in product((0, 1), repeat=15)]
         assert payload["status"] == "SAT" and payload["var_count"] == 15
+
+
+class TestVerify:
+    # --mode verify checks the final factor against the truth table up
+    # to its cap and against the direct conjunction above it, and exits 0
+
+    def test_pigeonhole_prints_the_check_and_the_status(self, tmp_path):
+        # PHP(6, 5), 30 variables: unsatisfiable
+        code, out, err = run_module(["--mode", "verify"], tmp_path,
+                                    emit_dimacs(pigeonhole(6, 5)))
+        assert (code, err) == (EXIT_OK, b"")
+        assert out == CONJUNCTION + b"s UNSATISFIABLE\n"
+
+    def test_random_at_the_table_cap(self, tmp_path):
+        code, out, err = run_module(["--mode", "verify"], tmp_path,
+                                    seeded_3sat(24, 40))
+        assert (code, err) == (EXIT_OK, b"")
+        assert (b"c verified: final factor agrees with the exhaustive truth "
+                b"table\n") in out.splitlines(keepends=True)
+
+    def test_random_above_the_cap_in_input_order(self, tmp_path):
+        code, out, err = run_module(["--mode", "verify", "--order", "input"],
+                                    tmp_path, seeded_3sat(26, 111))
+        assert (code, err) == (EXIT_OK, b"")
+        assert CONJUNCTION in out.splitlines(keepends=True)
+
+
+class TestOutOfMemory:
+    def test_one_error_line_and_no_traceback(self):
+        # 2^40 models under the cap, in a 1 GiB address space: the
+        # enumeration's arrays outgrow it long before any row is printed
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "projsat", "--mode", "all",
+             "--max-enum", str(1 << 41)],
+            input=b"p cnf 40 0\n", env=src_env(), capture_output=True,
+            timeout=120, check=False, preexec_fn=limited)
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, b"")
+        assert proc.stderr.startswith(b"error: out of memory")
+        assert proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr

@@ -1,11 +1,9 @@
 """Projective-cofactor composition laws and the chained solver."""
 
-import os
 import random
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -42,10 +40,8 @@ from helpers import (
     random_cnf,
     random_func,
     reference_built,
+    src_env,
 )
-
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh_pair(s, rng):
@@ -479,12 +475,9 @@ class TestDeepChains:
         random.Random(128).shuffle(formula.clauses)
         path = tmp_path / "chain.cnf"
         path.write_text(emit_dimacs(formula))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "projsat", "--input", str(path)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 10, proc.stderr
         literals = [v + 1 if bit else -(v + 1) for v, bit in enumerate(model)]
         assert proc.stdout.splitlines()[-1] == "v " + " ".join(
